@@ -346,6 +346,38 @@ impl Drop for SessionGuard {
     }
 }
 
+/// The routing pick that never waits: the RO with the fewest active
+/// sessions (proxy load-balancing, §6.1) among those eligible under
+/// `consistency` — any RO for `Eventual`, one that has applied `target`
+/// for `Strong`. `None` when no RO qualifies.
+fn pick_ro(ros: &[Arc<RoNode>], consistency: Consistency, target: u64) -> Option<Arc<RoNode>> {
+    ros.iter()
+        .filter(|n| consistency == Consistency::Eventual || n.applied_lsn() >= target)
+        .min_by_key(|n| n.sessions.load(Ordering::Relaxed))
+        .cloned()
+}
+
+/// The writer role of [`Cluster::writer_role`], given the writer slot.
+fn role_of(rw: &Option<RwNode>) -> &'static str {
+    match rw {
+        Some(node) if node.column.is_some() => "rw+imci",
+        Some(_) => "rw",
+        None => "vacant",
+    }
+}
+
+/// Highest applied LSN among `ros`.
+fn max_applied_lsn(ros: &[Arc<RoNode>]) -> u64 {
+    ros.iter().map(|n| n.applied_lsn()).max().unwrap_or(0)
+}
+
+/// Applied LSN of a promoted writer's column attachment (0 without one).
+fn column_applied_lsn(rw: &Option<RwNode>) -> u64 {
+    rw.as_ref()
+        .and_then(|node| node.column.as_ref())
+        .map_or(0, |col| col.pipeline.metrics().applied_lsn())
+}
+
 /// Timing breakdown of one scale-out operation (Fig. 14).
 #[derive(Debug, Clone)]
 pub struct ScaleOutReport {
@@ -415,11 +447,17 @@ impl Cluster {
     /// row-only writer, `"vacant"` between a crash and the next
     /// recovery/promotion.
     pub fn writer_role(&self) -> &'static str {
-        match self.rw.read().as_ref() {
-            Some(node) if node.column.is_some() => "rw+imci",
-            Some(_) => "rw",
-            None => "vacant",
-        }
+        role_of(&self.rw.read())
+    }
+
+    /// [`Cluster::writer_role`] and [`Cluster::applied_lsn`] for a
+    /// caller that must not wait: `None` while a crash, recovery,
+    /// promotion or scale-out/in holds the writer slot or the routing
+    /// set for writing (or waits to).
+    pub fn try_status(&self) -> Option<(&'static str, u64)> {
+        let ro_applied = max_applied_lsn(&self.ros.try_read()?);
+        let rw = self.rw.try_read()?;
+        Some((role_of(&rw), ro_applied.max(column_applied_lsn(&rw))))
     }
 
     /// Crash the RW node: drop every piece of its in-process state —
@@ -708,9 +746,13 @@ impl Cluster {
     /// strong reads keep fencing on everything acknowledged before the
     /// crash.
     pub fn written_lsn(&self) -> u64 {
-        let current = self
-            .rw
-            .read()
+        self.written_lsn_of(&self.rw.read())
+    }
+
+    /// [`Cluster::written_lsn`] given the writer slot, so a caller that
+    /// must not wait can take the slot with `try_read`.
+    fn written_lsn_of(&self, rw: &Option<RwNode>) -> u64 {
+        let current = rw
             .as_ref()
             .and_then(|n| n.engine.log())
             .map(|l| l.written_lsn().get())
@@ -723,19 +765,8 @@ impl Cluster {
     /// RO nodes plus a promoted writer's column attachment. What the
     /// server's `STATUS` statement reports.
     pub fn applied_lsn(&self) -> u64 {
-        let mut best = self
-            .ros
-            .read()
-            .iter()
-            .map(|n| n.applied_lsn())
-            .max()
-            .unwrap_or(0);
-        if let Some(node) = self.rw.read().as_ref() {
-            if let Some(col) = &node.column {
-                best = best.max(col.pipeline.metrics().applied_lsn());
-            }
-        }
-        best
+        let ro_applied = max_applied_lsn(&self.ros.read());
+        ro_applied.max(column_applied_lsn(&self.rw.read()))
     }
 
     /// Wake anything parked in [`Cluster::wait_for_writer`]. Callers
@@ -848,33 +879,54 @@ impl Cluster {
     /// level — the per-session enforcement point of §6.4.
     pub fn route_ro_with(&self, consistency: Consistency) -> Result<Arc<RoNode>> {
         let ros = self.ros.read();
-        if ros.is_empty() {
-            return Err(Error::Execution("no RO nodes available".into()));
-        }
         let target = self.written_lsn();
-        let eligible: Vec<&Arc<RoNode>> = match consistency {
-            Consistency::Eventual => ros.iter().collect(),
-            Consistency::Strong => ros.iter().filter(|n| n.applied_lsn() >= target).collect(),
-        };
-        let pick = |nodes: &[&Arc<RoNode>]| -> Arc<RoNode> {
-            nodes
-                .iter()
-                .min_by_key(|n| n.sessions.load(Ordering::Relaxed))
-                .map(|n| Arc::clone(n))
-                .expect("non-empty")
-        };
-        if !eligible.is_empty() {
-            return Ok(pick(&eligible));
+        if let Some(node) = pick_ro(&ros, consistency, target) {
+            return Ok(node);
         }
         // Strong consistency with lagging ROs: park (condvar, not a
         // spin — a busy-wait here burns a core per blocked read) until
         // one catches up.
-        let node = pick(&ros.iter().collect::<Vec<_>>());
+        let Some(node) = pick_ro(&ros, Consistency::Eventual, target) else {
+            return Err(Error::Execution("no RO nodes available".into()));
+        };
         drop(ros);
         if !node.pipeline.wait_applied(target, Duration::from_secs(30)) {
             return Err(Error::Execution("strong consistency wait timed out".into()));
         }
         Ok(node)
+    }
+
+    /// Answer a primary-key point SELECT without waiting for anything:
+    /// no lock wait, no storage read, no replication wait. Routing is
+    /// [`Cluster::route_ro_with`]'s pick minus its wait — `Eventual`
+    /// always finds an RO, `Strong` only one that has already applied
+    /// the written LSN — and the lookup reads resident pages only
+    /// ([`QueryEngine::try_point_resident`]). `None` when any of that
+    /// does not hold, the lookup fails, or the RO was retired from the
+    /// routing set meanwhile: the caller then runs the statement
+    /// through [`Cluster::execute_many`], which waits, reads storage,
+    /// and owns failover absolution and replay. The service tier calls
+    /// this on its reactor threads.
+    pub fn try_point_read(&self, sql: &str, opts: ExecOpts) -> Option<QueryResult> {
+        if !imci_sql::is_read_only(sql) {
+            return None;
+        }
+        let consistency = opts.consistency.unwrap_or(self.config.consistency);
+        let node = {
+            let ros = self.ros.try_read()?;
+            let target = match consistency {
+                Consistency::Eventual => 0,
+                Consistency::Strong => {
+                    let rw = self.rw.try_read()?;
+                    self.written_lsn_of(&rw)
+                }
+            };
+            pick_ro(&ros, consistency, target)?
+        };
+        let _session = SessionGuard::enter(&node);
+        let result = node.query.try_point_resident(sql, &opts.query_options())?;
+        let routed = self.ros.try_read()?.iter().any(|n| Arc::ptr_eq(n, &node));
+        routed.then_some(result)
     }
 
     /// Execute one SQL statement through the proxy: SELECTs go to an RO
@@ -1442,6 +1494,42 @@ mod tests {
         assert_eq!(results[20].as_ref().unwrap().rows[0][0], Value::Int(20));
         assert!(results[21].is_err(), "bad statement errors in place");
         assert_eq!(results[22].as_ref().unwrap().rows[0][0], Value::Int(19));
+        c.shutdown();
+    }
+
+    #[test]
+    fn try_point_read_answers_like_execute_or_declines() {
+        let c = small_cluster();
+        c.execute(DDL).unwrap();
+        for i in 0..50 {
+            c.execute(&format!(
+                "INSERT INTO demo VALUES ({i}, {}, 1.5, 'n')",
+                i % 3
+            ))
+            .unwrap();
+        }
+        assert!(c.wait_sync(Duration::from_secs(10)));
+        let strong = ExecOpts {
+            consistency: Some(Consistency::Strong),
+            ..Default::default()
+        };
+        let sql = "SELECT grp, note FROM demo WHERE id = 17";
+        let want = c.execute_opts(sql, strong).unwrap();
+        for opts in [ExecOpts::default(), strong] {
+            let got = c.try_point_read(sql, opts).expect("caught-up RO answers");
+            assert_eq!(got.rows, want.rows);
+            assert_eq!(got.columns, want.columns);
+        }
+        let column = ExecOpts {
+            force_engine: Some(EngineChoice::Column),
+            ..Default::default()
+        };
+        assert!(c.try_point_read(sql, column).is_none(), "engine pin");
+        assert!(c
+            .try_point_read("SELECT COUNT(*) FROM demo", strong)
+            .is_none());
+        c.scale_in();
+        assert!(c.try_point_read(sql, strong).is_none(), "no RO to route to");
         c.shutdown();
     }
 

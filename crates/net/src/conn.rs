@@ -2,9 +2,10 @@
 //! the worker pool.
 //!
 //! Lock order (when nested): `q` → `tenant` → fair-queue inner. The
-//! reactor additionally holds `parse` while enqueueing (`parse` → `q`);
-//! workers never touch `parse`, so the orders cannot cycle. `out` is
-//! only ever held alone.
+//! reactor additionally holds `parse` while enqueueing (`parse` → `q`),
+//! and across `Proto::try_inline` when it answers a unit itself (`q` is
+//! released for that call); workers never touch `parse`, so the orders
+//! cannot cycle. `out` is only ever held alone.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -127,6 +128,40 @@ impl<P: Proto> Conn<P> {
                     return;
                 }
             }
+        }
+    }
+
+    /// Append a run's responses (dropped if the connection is already
+    /// finalized) and mark the close the run asked for. The caller
+    /// flushes.
+    pub fn deliver(&self, bytes: &[u8], close: bool) {
+        let mut o = self.out.lock();
+        if !self.is_closed() {
+            o.buf.extend_from_slice(bytes);
+        }
+        if close {
+            o.closing = true;
+        }
+    }
+
+    /// After a run: wake the owning reactor only when the run left
+    /// something it must act on — a finished/broken connection to
+    /// finalize, a short write to re-arm EPOLLOUT for, or a
+    /// backpressure pause to lift now that the buffer drained. The
+    /// common fully-flushed run changes none of these, and skipping the
+    /// waker write spares a syscall plus a reactor pass per run.
+    /// (`closing` with a drained buffer became `close_now` inside
+    /// `try_flush`, so checking the flags after the flush is
+    /// exhaustive. If the reactor pauses this connection concurrently
+    /// with the check reading `false`, its same-pass `refresh` observes
+    /// the already-drained buffer and unpauses without a nudge.)
+    pub fn settle(&self) {
+        let needs_reactor = {
+            let o = self.out.lock();
+            o.close_now || o.want_write || o.closing
+        } || self.paused.load(Ordering::SeqCst);
+        if needs_reactor {
+            self.nudge();
         }
     }
 

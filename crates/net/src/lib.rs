@@ -14,8 +14,9 @@
 //!                 └──────────┘              ▼
 //!            ┌────────────────────────────────────────────┐
 //!            │ reactor threads (one epoll instance each)  │
-//!            │   read → decode → admission → unit queue   │
-//!            │   write-backpressure, idle timer wheel     │
+//!            │   read → decode → admission → inline or    │
+//!            │   unit queue; write-backpressure, idle     │
+//!            │   timer wheel                              │
 //!            └───────────────┬───────────▲────────────────┘
 //!                    fair    │           │ dirty tokens +
 //!                    queue   ▼           │ waker pipe
@@ -27,19 +28,34 @@
 //! Per-connection life cycle (driven by readiness, never by blocking):
 //!
 //! ```text
-//!   read ──▶ decode ──▶ admit ──▶ queue ──▶ run ──▶ flush ─┐
-//!    ▲                    │ full                           │ backlog
-//!    │                    ▼                                ▼
-//!    │                 reject (retryable busy,        pause reads
-//!    │                 in response order)             until drained
-//!    └─────────────────────────────────────────────────────┘
+//!   read ──▶ decode ──▶ admit ──────────▶ conn idle and unit never blocks?
+//!    ▲                    │ full             ▲        │ yes           │ no
+//!    │                    ▼                  │        ▼               ▼
+//!    │          reject: retryable busy ──────┘    try_inline ─────▶ queue ──▶ run
+//!    │          unit, in response order           (reactor)  declined      (worker)
+//!    │                                                │                       │
+//!    │                                                ▼                       │
+//!    │                         pause reads ◀─────── flush ◀───────────────────┘
+//!    └──────────────────────── until drained  backlog
 //! ```
+//!
+//! Inline answers: the worker handoff (an epoll wake, a condvar wake
+//! of a worker, a write from a second thread) costs more than a cheap
+//! unit itself. When a unit finds its connection idle — nothing queued,
+//! no worker holding it — the reactor holds the connection the way a
+//! worker would and offers the unit to [`Proto::try_inline`]; a unit
+//! the protocol cannot answer without blocking comes back and goes to
+//! a worker. At most `worker_quantum` cost is answered inline per
+//! connection per readiness pass, so a pipelined burst is handed off
+//! instead of holding the reactor.
 //!
 //! Overload policy: budgets shed work instead of queueing it. A full
 //! connection budget answers with one busy frame at accept; a full
 //! statement queue turns the statement into an in-order retryable
 //! rejection; a drain or idle timeout injects a farewell unit that is
 //! answered after all accepted work, then the socket closes.
+//! Connections still in the listen backlog at shutdown get the drain
+//! refusal frame instead of a bare EOF.
 
 mod admission;
 mod buf;
@@ -50,7 +66,8 @@ mod timer;
 pub use buf::InputBuf;
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -61,7 +78,7 @@ use std::time::{Duration, Instant};
 use epoll::{Interest, Poller};
 
 use admission::{Admission, FairQueue};
-use reactor::{Shared, WAKE_TOKEN};
+use reactor::{Shared, LISTENER_TOKEN, WAKE_TOKEN};
 
 /// One step of frame decoding.
 pub enum Step<U> {
@@ -83,6 +100,16 @@ pub enum Goodbye {
     IdleTimeout,
 }
 
+/// Why the acceptor turns a connection away before any session exists.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refusal {
+    /// The connection budget is exhausted.
+    OverBudget,
+    /// Graceful shutdown began while the connection waited in the
+    /// listen backlog.
+    Drain,
+}
+
 /// What `Proto::run` decided about the connection's future.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOutcome {
@@ -93,9 +120,10 @@ pub struct RunOutcome {
 /// A wire protocol hosted by the reactor tier.
 ///
 /// Decoding runs on reactor threads and must never block; execution
-/// runs on worker threads and may. Units flow strictly in arrival
-/// order per connection, so responses are ordered even under
-/// pipelining.
+/// runs on worker threads and may, except for units the protocol
+/// answers inline ([`Proto::try_inline`]), which run on the reactor
+/// and must not. Units flow strictly in arrival order per connection,
+/// so responses are ordered even under pipelining.
 pub trait Proto: Send + Sync + 'static {
     /// Reactor-side framing state (one per connection).
     type Parse: Send + 'static;
@@ -126,12 +154,27 @@ pub trait Proto: Send + Sync + 'static {
     /// A final unit that tells the client why the server is closing.
     fn goodbye(&self, why: Goodbye) -> Self::Unit;
 
-    /// Raw bytes written to a connection rejected by the connection
-    /// budget, before any session exists.
-    fn over_budget_frame(&self) -> Vec<u8>;
+    /// Raw bytes written to a connection the acceptor turns away,
+    /// before any session exists.
+    fn refusal_frame(&self, why: Refusal) -> Vec<u8>;
 
     /// Execute a batch of ordered units, appending responses to `out`.
     fn run(&self, exec: &mut Self::Exec, units: Vec<Self::Unit>, out: &mut Vec<u8>) -> RunOutcome;
+
+    /// Answer `unit` on the reactor thread, skipping the worker
+    /// handoff. Called only when the connection has nothing queued and
+    /// nothing running on a worker, so ordering holds. Implementations
+    /// must return `Err(unit)` unchanged for anything that could block
+    /// — a lock wait, a storage read, a replication wait — and the unit
+    /// then goes to a worker as usual. The default runs nothing inline.
+    fn try_inline(
+        &self,
+        _exec: &mut Self::Exec,
+        unit: Self::Unit,
+        _out: &mut Vec<u8>,
+    ) -> Result<RunOutcome, Self::Unit> {
+        Err(unit)
+    }
 }
 
 /// Service-tier configuration.
@@ -154,7 +197,9 @@ pub struct NetConfig {
     /// before force-closing them.
     pub drain_timeout: Duration,
     /// Max admission cost one worker turn drains from one connection
-    /// before rotating to the next tenant (fairness granularity).
+    /// before rotating to the next tenant (fairness granularity). Also
+    /// bounds how many units a reactor answers inline for one
+    /// connection per readiness pass before handing the rest off.
     pub worker_quantum: usize,
 }
 
@@ -195,7 +240,9 @@ pub struct ServiceStats {
     pub busy_rejected_stmts: AtomicU64,
     /// Connections closed by the idle timeout.
     pub idle_closed: AtomicU64,
-    /// Connections sent a drain goodbye during graceful shutdown.
+    /// Connections sent a drain goodbye during graceful shutdown,
+    /// including ones still waiting in the accept backlog (the
+    /// shutdown's own wake-up connection among them).
     pub drained: AtomicU64,
     /// Automatic promotions observed (maintained by the protocol,
     /// mirrored from the cluster supervisor).
@@ -213,10 +260,8 @@ pub struct NetServer<P: Proto> {
     shared: Arc<Shared<P>>,
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    /// Clone of the acceptor's listener (same open file description),
-    /// kept so shutdown can flip it nonblocking if the self-connect
-    /// wake fails — see [`NetServer::shutdown`].
-    wake_listener: Option<TcpListener>,
+    /// Wakes the acceptor's poll so it sees `stop_accept`.
+    acceptor_wake: UnixStream,
     reactors: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     done: bool,
@@ -232,6 +277,15 @@ impl<P: Proto> NetServer<P> {
     ) -> io::Result<NetServer<P>> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
+        // The acceptor waits for readiness on the listener and on a
+        // waker the shutdown writes to, so it never parks in accept().
+        listener.set_nonblocking(true)?;
+        let (acceptor_wake, acceptor_wake_rx) = UnixStream::pair()?;
+        acceptor_wake.set_nonblocking(true)?;
+        acceptor_wake_rx.set_nonblocking(true)?;
+        let mut acceptor_poller = Poller::new()?;
+        acceptor_poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        acceptor_poller.add(acceptor_wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
         let nreactors = config.reactors.max(1);
         let nworkers = config.workers.max(1);
 
@@ -281,19 +335,20 @@ impl<P: Proto> NetServer<P> {
                     .spawn(move || reactor::worker_loop(shared))?,
             );
         }
-        let wake_listener = listener.try_clone().ok();
         let acceptor = {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("imci-acceptor".to_string())
-                .spawn(move || reactor::acceptor_loop(shared, listener))?
+                .spawn(move || {
+                    reactor::acceptor_loop(shared, listener, acceptor_poller, acceptor_wake_rx)
+                })?
         };
 
         Ok(NetServer {
             shared,
             local_addr,
             acceptor: Some(acceptor),
-            wake_listener,
+            acceptor_wake,
             reactors,
             workers,
             done: false,
@@ -318,42 +373,13 @@ impl<P: Proto> NetServer<P> {
         self.done = true;
         let shared = &self.shared;
 
+        // The acceptor answers what is left in the listen backlog with
+        // a drain refusal, then exits and closes the listener, so later
+        // connects are refused by the kernel.
         shared.stop_accept.store(true, Ordering::SeqCst);
-        // Unblock the acceptor's blocking accept with a throwaway
-        // connection (it re-checks the flag before serving it).
-        // Loopback connects can transiently fail — SYN backlog full,
-        // ephemeral-port exhaustion — and a lost wake here used to
-        // leave the join below parked forever. Retry briefly, then
-        // fall back to flipping the shared listener nonblocking: the
-        // clone shares the open file description, so once any queued
-        // connection (or spurious readiness) returns, every later
-        // accept yields WouldBlock and the loop sees the stop flag.
-        let mut woke = false;
-        for attempt in 0..3 {
-            if attempt > 0 {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if TcpStream::connect(self.local_addr).is_ok() {
-                woke = true;
-                break;
-            }
-        }
-        if !woke {
-            if let Some(l) = &self.wake_listener {
-                let _ = l.set_nonblocking(true);
-            }
-        }
+        let _ = (&self.acceptor_wake).write(&[1]);
         if let Some(h) = self.acceptor.take() {
-            // Bounded: a wedged acceptor must not hang shutdown. Past
-            // the deadline the thread is abandoned — stop_accept makes
-            // it exit the moment its accept ever returns.
-            let join_deadline = Instant::now() + Duration::from_secs(1);
-            while !h.is_finished() && Instant::now() < join_deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if h.is_finished() {
-                let _ = h.join();
-            }
+            let _ = h.join();
         }
 
         shared.draining.store(true, Ordering::SeqCst);
@@ -401,7 +427,10 @@ mod tests {
 
     /// Line-echo protocol exercising every service-tier hook: `echo:`
     /// replies, `slow` statements that occupy a worker, `tenant <t>`
-    /// switches the fairness lane, `quit` closes.
+    /// switches the fairness lane, `quit` closes. `fast:` lines may be
+    /// answered inline and name the thread that answered them
+    /// (`fast:spin` busies that thread for 2 ms first, `fast:quit`
+    /// closes after its reply).
     struct EchoProto {
         slow_ms: u64,
     }
@@ -461,14 +490,21 @@ mod tests {
             })
         }
 
-        fn over_budget_frame(&self) -> Vec<u8> {
-            b"busy: connection budget\n".to_vec()
+        fn refusal_frame(&self, why: Refusal) -> Vec<u8> {
+            match why {
+                Refusal::OverBudget => b"busy: connection budget\n".to_vec(),
+                // Same words as the in-session drain goodbye.
+                Refusal::Drain => b"bye: drain\n".to_vec(),
+            }
         }
 
         fn run(&self, exec: &mut u64, units: Vec<EchoUnit>, out: &mut Vec<u8>) -> RunOutcome {
             let mut outcome = RunOutcome::default();
             for unit in units {
                 match unit {
+                    EchoUnit::Line(l) if l.starts_with("fast:") => {
+                        outcome.close |= answer_fast(&l, out);
+                    }
                     EchoUnit::Line(l) => {
                         if l.starts_with("slow") {
                             std::thread::sleep(Duration::from_millis(self.slow_ms));
@@ -486,6 +522,35 @@ mod tests {
             }
             outcome
         }
+
+        fn try_inline(
+            &self,
+            _exec: &mut u64,
+            unit: EchoUnit,
+            out: &mut Vec<u8>,
+        ) -> Result<RunOutcome, EchoUnit> {
+            match unit {
+                EchoUnit::Line(l) if l.starts_with("fast:") => Ok(RunOutcome {
+                    close: answer_fast(&l, out),
+                }),
+                other => Err(other),
+            }
+        }
+    }
+
+    /// Reply to a `fast:` line as `<line> on <thread name>`; true when
+    /// the line asks to close.
+    fn answer_fast(line: &str, out: &mut Vec<u8>) -> bool {
+        if line == "fast:spin" {
+            let until = Instant::now() + Duration::from_millis(2);
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+        }
+        let thread = std::thread::current();
+        let name = thread.name().unwrap_or("?");
+        out.extend_from_slice(format!("{line} on {name}\n").as_bytes());
+        line == "fast:quit"
     }
 
     fn echo_server(slow_ms: u64, tweak: impl FnOnce(&mut NetConfig)) -> NetServer<EchoProto> {
@@ -724,31 +789,147 @@ mod tests {
         srv.shutdown();
     }
 
+    /// Replies to `n` requests, read in order.
+    fn read_lines(r: &mut impl BufRead, n: usize) -> Vec<String> {
+        (0..n).map(|_| read_line(r)).collect()
+    }
+
+    fn answered_on_reactor(reply: &str) -> bool {
+        reply.contains(" on imci-reactor-")
+    }
+
     #[test]
-    fn shutdown_wake_fallback_unblocks_a_nonblocking_acceptor() {
-        let mut srv = echo_server(0, |_| {});
-        // Simulate the fallback wake: flip the shared listener
-        // nonblocking while the acceptor is parked in accept(). The
-        // clone shares the open file description, so this reaches the
-        // acceptor's fd.
-        srv.wake_listener
-            .as_ref()
-            .expect("wake listener clone")
-            .set_nonblocking(true)
+    fn pipelined_mix_of_inline_and_worker_units_answers_in_order() {
+        let mut srv = echo_server(100, |_| {});
+        let mut conn = TcpStream::connect(srv.local_addr()).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        // One write, decoded in one pass: everything after `slow-1` is
+        // queued while `slow-1` holds a worker for 100 ms.
+        conn.write_all(b"fast:a\nslow-1\nfast:b\nm2\nfast:c\nslow-3\nfast:d\n")
             .unwrap();
-        // One real connection pops the already-parked blocking accept;
-        // every accept after it returns WouldBlock.
-        drop(TcpStream::connect(srv.local_addr()).unwrap());
-        std::thread::sleep(Duration::from_millis(20));
-        srv.shared.stop_accept.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while !srv.acceptor.as_ref().unwrap().is_finished() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
+        let replies = read_lines(&mut reader, 7);
+        let prefixes = [
+            "fast:a on ",
+            "echo: slow-1",
+            "fast:b on ",
+            "echo: m2",
+            "fast:c on ",
+            "echo: slow-3",
+            "fast:d on ",
+        ];
+        for (reply, prefix) in replies.iter().zip(prefixes) {
+            assert!(reply.starts_with(prefix), "{replies:?}");
         }
+        // The first unit found the connection idle; everything behind a
+        // unit still on a worker stayed behind it, on a worker.
+        assert!(answered_on_reactor(&replies[0]), "{replies:?}");
+        for fast in [&replies[2], &replies[4], &replies[6]] {
+            assert!(fast.contains(" on imci-worker-"), "{replies:?}");
+        }
+        // Idle again: the next fast line is answered inline.
+        conn.write_all(b"fast:e\n").unwrap();
+        let reply = read_line(&mut reader);
+        assert!(answered_on_reactor(&reply), "{reply}");
+        srv.shutdown();
+    }
+
+    #[test]
+    fn unit_behind_a_worker_held_unit_is_not_answered_inline() {
+        let mut srv = echo_server(200, |_| {});
+        let mut conn = TcpStream::connect(srv.local_addr()).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        conn.write_all(b"slow-1\n").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        conn.write_all(b"fast:x\n").unwrap();
+        assert_eq!(read_line(&mut reader), "echo: slow-1\n");
+        let reply = read_line(&mut reader);
+        assert!(reply.starts_with("fast:x on imci-worker-"), "{reply}");
+        srv.shutdown();
+    }
+
+    #[test]
+    fn inline_burst_past_the_quantum_does_not_starve_a_sibling() {
+        let quantum = 4;
+        let mut srv = echo_server(0, |c| {
+            c.workers = 1;
+            c.worker_quantum = quantum;
+        });
+        let mut heavy = TcpStream::connect(srv.local_addr()).unwrap();
+        let mut light = TcpStream::connect(srv.local_addr()).unwrap();
+        // Both registered on the one reactor before the burst.
+        heavy.write_all(b"fast:warm\n").unwrap();
+        light.write_all(b"fast:warm\n").unwrap();
+        let mut heavy_r = BufReader::new(heavy.try_clone().unwrap());
+        let mut light_r = BufReader::new(light.try_clone().unwrap());
+        read_line(&mut heavy_r);
+        read_line(&mut light_r);
+
+        // 200 × 2 ms of inline work would hold the reactor for 400 ms.
+        let burst = 200;
+        heavy
+            .write_all("fast:spin\n".repeat(burst).as_bytes())
+            .unwrap();
+        let start = Instant::now();
+        light.write_all(b"fast:light\n").unwrap();
+        let reply = read_line(&mut light_r);
+        let waited = start.elapsed();
+        assert!(reply.starts_with("fast:light on "), "{reply}");
         assert!(
-            srv.acceptor.as_ref().unwrap().is_finished(),
-            "acceptor must exit via the WouldBlock path once stop_accept is set"
+            waited < Duration::from_millis(200),
+            "sibling waited {waited:?} behind the burst"
+        );
+        let replies = read_lines(&mut heavy_r, burst);
+        assert!(replies.iter().all(|r| r.starts_with("fast:spin on ")));
+        let inline = replies.iter().filter(|r| answered_on_reactor(r)).count();
+        assert!(
+            (1..=quantum).contains(&inline),
+            "{inline} of the burst ran inline; the rest must be handed off"
         );
         srv.shutdown();
+    }
+
+    #[test]
+    fn inline_close_shuts_the_connection_down_cleanly() {
+        let mut srv = echo_server(0, |_| {});
+        let mut conn = TcpStream::connect(srv.local_addr()).unwrap();
+        conn.write_all(b"fast:quit\nafter-close\n").unwrap();
+        let mut reader = BufReader::new(conn);
+        let reply = read_line(&mut reader);
+        assert!(reply.starts_with("fast:quit on imci-reactor-"), "{reply}");
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest, "", "nothing after the close, then EOF");
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while srv.stats().active_sessions.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(srv.stats().active_sessions.load(Ordering::SeqCst), 0);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn shutdown_says_goodbye_to_clients_still_in_the_accept_backlog() {
+        // Clients that connect right before shutdown race the acceptor:
+        // some are sessions by then, some still wait in the listen
+        // backlog. Every one must read the goodbye, then EOF.
+        for round in 0..50 {
+            let mut srv = echo_server(0, |_| {});
+            let clients: Vec<TcpStream> = (0..4)
+                .map(|_| TcpStream::connect(srv.local_addr()).unwrap())
+                .collect();
+            srv.shutdown();
+            for (i, c) in clients.into_iter().enumerate() {
+                c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                let mut reader = BufReader::new(c);
+                assert_eq!(
+                    read_line(&mut reader),
+                    "bye: drain\n",
+                    "round {round} client {i}"
+                );
+                let mut rest = String::new();
+                reader.read_to_string(&mut rest).unwrap();
+                assert_eq!(rest, "", "round {round} client {i}: EOF after goodbye");
+            }
+        }
     }
 }

@@ -1,21 +1,27 @@
-//! The reactor threads, the blocking acceptor, and the worker pool.
+//! The reactor threads, the acceptor, and the worker pool.
 //!
 //! Threading model:
 //!
-//! - One acceptor thread blocks in `accept`, applies the connection
-//!   budget, and hands admitted sockets to a reactor round-robin.
+//! - One acceptor thread polls the nonblocking listener plus a waker,
+//!   applies the connection budget, and hands admitted sockets to a
+//!   reactor round-robin. At shutdown it answers whatever is left in
+//!   the listen backlog with a drain refusal before closing it.
 //! - `reactors` threads each own an epoll instance, a token→connection
 //!   map, and a timer wheel. Only the owning reactor calls `epoll_ctl`
 //!   for its fds; workers reach it through a dirty-token list plus a
-//!   socketpair waker.
+//!   socketpair waker. A reactor answers a decoded unit itself when the
+//!   connection is idle and the protocol says the unit never blocks
+//!   (`Proto::try_inline`), up to `worker_quantum` cost per connection
+//!   per readiness pass.
 //! - `workers` threads block on the per-tenant fair queue and execute
-//!   decoded units. A connection is held by at most one worker at a
-//!   time (the `scheduled` flag), which gives strict per-connection
-//!   response ordering without per-connection threads.
+//!   decoded units. A connection is held by at most one thread — a
+//!   worker, or its reactor while answering inline — at a time (the
+//!   `scheduled` flag), which gives strict per-connection response
+//!   ordering without per-connection threads.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,10 +32,12 @@ use parking_lot::Mutex;
 
 use crate::admission::{Admission, FairQueue};
 use crate::conn::{Conn, OutBuf, ParseState, Queue};
-use crate::{Goodbye, NetConfig, Proto, ServiceStats, Step};
+use crate::{Goodbye, NetConfig, Proto, Refusal, RunOutcome, ServiceStats, Step};
 
-/// Reserved token for each reactor's waker pipe.
+/// Reserved token for each reactor's (and the acceptor's) waker pipe.
 pub(crate) const WAKE_TOKEN: u64 = u64::MAX;
+/// The acceptor's token for the listening socket.
+pub(crate) const LISTENER_TOKEN: u64 = 0;
 
 const READ_CHUNK: usize = 16 * 1024;
 /// Per-event-loop-pass read cap per connection, so one firehose peer
@@ -102,76 +110,100 @@ impl<P: Proto> ReactorShared<P> {
 // Acceptor
 // ---------------------------------------------------------------------------
 
-pub(crate) fn acceptor_loop<P: Proto>(shared: Arc<Shared<P>>, listener: TcpListener) {
+pub(crate) fn acceptor_loop<P: Proto>(
+    shared: Arc<Shared<P>>,
+    listener: TcpListener,
+    mut poller: Poller,
+    // Registered with `poller`; owned here so it lives as long as the
+    // loop. Never read: the first wake-up is the last.
+    _wake_rx: UnixStream,
+) {
     let mut next = 0usize;
-    for incoming in listener.incoming() {
+    let mut events = Vec::new();
+    loop {
+        events.clear();
+        let _ = poller.wait(&mut events, -1);
         if shared.stop_accept.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match incoming {
-            Ok(s) => s,
-            Err(e) => {
-                // WouldBlock only happens after shutdown flipped the
-                // listener nonblocking (the fallback wake); don't spin
-                // on it while the stop flag is still unset.
-                if e.kind() == std::io::ErrorKind::WouldBlock {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                continue;
+            // Shutting down. Every connection still in the backlog
+            // connected before the listener closes: answer each with the
+            // drain refusal instead of dropping it, which the client
+            // would read as a bare EOF.
+            while let Ok((stream, _)) = listener.accept() {
+                refuse(&shared, stream, Refusal::Drain);
             }
-        };
-        shared.stats.connections.fetch_add(1, Ordering::SeqCst);
-        let admitted = !shared.draining.load(Ordering::SeqCst) && shared.admission.try_conn();
-        if !admitted {
-            // Over budget: a one-frame busy refusal, then close. The
-            // frame is small enough to fit the kernel send buffer, so a
-            // non-reading peer cannot block the acceptor.
-            shared
-                .stats
-                .busy_rejected_conns
-                .fetch_add(1, Ordering::SeqCst);
-            let mut s = stream;
-            let _ = s.set_nodelay(true);
-            let _ = s.write_all(&shared.proto.over_budget_frame());
-            let _ = s.shutdown(Shutdown::Both);
-            continue;
+            return;
         }
-        if stream.set_nonblocking(true).is_err() {
-            shared.admission.release_conn();
-            continue;
+        // The listener is nonblocking: take everything ready.
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => admit(&shared, stream, &mut next),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
         }
-        let _ = stream.set_nodelay(true);
-        let reactor = shared.reactors[next % shared.reactors.len()].clone();
-        next += 1;
-        let token = shared.next_token.fetch_add(1, Ordering::SeqCst);
-        let (parse, exec) = shared.proto.open();
-        let conn = Arc::new(Conn {
-            token,
-            stream,
-            reactor: reactor.clone(),
-            parse: Mutex::new(ParseState {
-                parse,
-                inbuf: crate::buf::InputBuf::new(),
-                poisoned: false,
-            }),
-            q: Mutex::new(Queue {
-                units: std::collections::VecDeque::new(),
-                exec: Some(exec),
-                scheduled: false,
-                finalized: false,
-            }),
-            out: Mutex::new(OutBuf::default()),
-            tenant: Mutex::new(Arc::from("")),
-            eof: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-            last_activity_ms: AtomicU64::new(shared.now_ms()),
-            interest_cache: std::sync::atomic::AtomicU8::new(0b01),
-        });
-        shared.stats.active_sessions.fetch_add(1, Ordering::SeqCst);
-        reactor.inbox.lock().push(conn);
-        reactor.wake();
     }
+}
+
+/// Apply the connection budget to an accepted stream and hand an
+/// admitted one to a reactor, round-robin.
+fn admit<P: Proto>(shared: &Arc<Shared<P>>, stream: TcpStream, next: &mut usize) {
+    shared.stats.connections.fetch_add(1, Ordering::SeqCst);
+    let admitted = !shared.draining.load(Ordering::SeqCst) && shared.admission.try_conn();
+    if !admitted {
+        shared
+            .stats
+            .busy_rejected_conns
+            .fetch_add(1, Ordering::SeqCst);
+        refuse(shared, stream, Refusal::OverBudget);
+        return;
+    }
+    if stream.set_nonblocking(true).is_err() {
+        shared.admission.release_conn();
+        return;
+    }
+    let _ = stream.set_nodelay(true);
+    let reactor = shared.reactors[*next % shared.reactors.len()].clone();
+    *next += 1;
+    let token = shared.next_token.fetch_add(1, Ordering::SeqCst);
+    let (parse, exec) = shared.proto.open();
+    let conn = Arc::new(Conn {
+        token,
+        stream,
+        reactor: reactor.clone(),
+        parse: Mutex::new(ParseState {
+            parse,
+            inbuf: crate::buf::InputBuf::new(),
+            poisoned: false,
+        }),
+        q: Mutex::new(Queue {
+            units: std::collections::VecDeque::new(),
+            exec: Some(exec),
+            scheduled: false,
+            finalized: false,
+        }),
+        out: Mutex::new(OutBuf::default()),
+        tenant: Mutex::new(Arc::from("")),
+        eof: AtomicBool::new(false),
+        paused: AtomicBool::new(false),
+        closed: AtomicBool::new(false),
+        last_activity_ms: AtomicU64::new(shared.now_ms()),
+        interest_cache: std::sync::atomic::AtomicU8::new(0b01),
+    });
+    shared.stats.active_sessions.fetch_add(1, Ordering::SeqCst);
+    reactor.inbox.lock().push(conn);
+    reactor.wake();
+}
+
+/// Turn a connection away before any session exists: one refusal
+/// frame, then close. The frame is small enough to fit the kernel send
+/// buffer, so a non-reading peer cannot block the acceptor.
+fn refuse<P: Proto>(shared: &Shared<P>, mut stream: TcpStream, why: Refusal) {
+    if why == Refusal::Drain {
+        shared.stats.drained.fetch_add(1, Ordering::SeqCst);
+    }
+    let _ = stream.set_nodelay(true);
+    let _ = stream.write_all(&shared.proto.refusal_frame(why));
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +354,7 @@ fn handle_read<P: Proto>(
     {
         let mut ps = conn.parse.lock();
         let mut read_total = 0usize;
+        let mut inline_budget = shared.config.worker_quantum.max(1);
         while !ps.poisoned && !conn.eof.load(Ordering::SeqCst) {
             match (&conn.stream).read(scratch) {
                 Ok(0) => {
@@ -332,7 +365,7 @@ fn handle_read<P: Proto>(
                         .store(shared.now_ms(), Ordering::SeqCst);
                     ps.inbuf.append(&scratch[..n]);
                     read_total += n;
-                    decode_all(shared, conn, &mut ps);
+                    decode_all(shared, conn, &mut ps, &mut inline_budget);
                     if conn.out.lock().pending() > HIGH_WATER {
                         conn.paused.store(true, Ordering::SeqCst);
                         break;
@@ -376,26 +409,52 @@ fn handle_read<P: Proto>(
     }
 }
 
+/// Decode and enqueue every complete unit in the input buffer.
+/// `inline_budget` is the admission cost still allowed to run inline
+/// for this connection in the current readiness pass. Responses
+/// answered inline are flushed once, after the last unit, so a
+/// pipelined burst costs one write, not one per response.
 fn decode_all<P: Proto>(
     shared: &Arc<Shared<P>>,
     conn: &Arc<Conn<P>>,
     ps: &mut crate::conn::ParseState<P>,
+    inline_budget: &mut usize,
 ) {
+    let mut inlined = false;
     while !ps.poisoned {
-        match shared.proto.decode(&mut ps.parse, &mut ps.inbuf) {
+        let unit = match shared.proto.decode(&mut ps.parse, &mut ps.inbuf) {
             Step::NeedMore => break,
-            Step::Unit(u) => enqueue(shared, conn, u),
+            Step::Unit(u) => u,
             Step::Poison(u) => {
                 ps.poisoned = true;
-                enqueue(shared, conn, u);
+                u
             }
-        }
+        };
+        inlined |= enqueue(shared, conn, unit, inline_budget);
+    }
+    if inlined {
+        conn.try_flush();
+        conn.settle();
     }
 }
 
-/// Admission-check a decoded unit and append it to the connection's
-/// ordered queue, scheduling the connection if it wasn't already.
-fn enqueue<P: Proto>(shared: &Arc<Shared<P>>, conn: &Arc<Conn<P>>, unit: P::Unit) {
+/// Admission-check a decoded unit, then either answer it inline or
+/// append it to the connection's ordered queue, scheduling the
+/// connection if it wasn't already. Returns whether it was answered
+/// inline (its response is buffered, not yet flushed).
+///
+/// Inline: when the connection has nothing queued and nothing on a
+/// worker and the pass's inline budget is not spent, the reactor takes
+/// `exec` under the `scheduled` flag exactly as a worker would (so the
+/// one-holder invariant and response order are unchanged) and offers
+/// the unit to [`Proto::try_inline`]. A declined unit is queued for a
+/// worker with the flag already set.
+fn enqueue<P: Proto>(
+    shared: &Arc<Shared<P>>,
+    conn: &Arc<Conn<P>>,
+    unit: P::Unit,
+    inline_budget: &mut usize,
+) -> bool {
     if let Some(t) = shared.proto.tenant_of(&unit) {
         let mut tenant = conn.tenant.lock();
         if &**tenant != t {
@@ -419,13 +478,43 @@ fn enqueue<P: Proto>(shared: &Arc<Shared<P>>, conn: &Arc<Conn<P>>, unit: P::Unit
     if q.finalized {
         drop(q);
         shared.admission.release_stmts(cost);
-        return;
+        return false;
+    }
+    let idle = !q.scheduled && q.units.is_empty();
+    if idle && *inline_budget > 0 {
+        if let Some(mut exec) = q.exec.take() {
+            q.scheduled = true;
+            drop(q);
+            let mut out = Vec::new();
+            let result = shared.proto.try_inline(&mut exec, unit, &mut out);
+            q = conn.q.lock();
+            q.exec = Some(exec);
+            match result {
+                Ok(outcome) => {
+                    *inline_budget = inline_budget.saturating_sub(cost.max(1));
+                    q.scheduled = false;
+                    // Close supersedes anything decoded after it.
+                    q.finalized |= outcome.close;
+                    drop(q);
+                    shared.admission.release_stmts(cost);
+                    conn.deliver(&out, outcome.close);
+                    return true;
+                }
+                Err(declined) => {
+                    // Still flagged `scheduled`: hand it to a worker.
+                    q.units.push_back((declined, cost));
+                    shared.queue.push(conn.clone());
+                    return false;
+                }
+            }
+        }
     }
     q.units.push_back((unit, cost));
     if !q.scheduled {
         q.scheduled = true;
         shared.queue.push(conn.clone());
     }
+    false
 }
 
 /// Enqueue the protocol's farewell unit (which responds and closes) and
@@ -498,7 +587,8 @@ fn refresh<P: Proto>(
         // decode them now, since epoll will not re-report old data.
         let mut ps = conn.parse.lock();
         if !ps.inbuf.is_empty() {
-            decode_all(shared, conn, &mut ps);
+            let mut inline_budget = shared.config.worker_quantum.max(1);
+            decode_all(shared, conn, &mut ps, &mut inline_budget);
         }
     }
 }
@@ -569,19 +659,12 @@ pub(crate) fn worker_loop<P: Proto>(shared: Arc<Shared<P>>) {
             (exec, units, cost)
         };
         let outcome = if units.is_empty() {
-            crate::RunOutcome::default()
+            RunOutcome::default()
         } else {
             out.clear();
             let outcome = shared.proto.run(&mut exec, units, &mut out);
             shared.admission.release_stmts(cost);
-            let mut o = conn.out.lock();
-            if !conn.is_closed() {
-                o.buf.extend_from_slice(&out);
-            }
-            if outcome.close {
-                o.closing = true;
-            }
-            drop(o);
+            conn.deliver(&out, outcome.close);
             conn.try_flush();
             outcome
         };
@@ -609,24 +692,6 @@ pub(crate) fn worker_loop<P: Proto>(shared: Arc<Shared<P>>) {
                 conn.try_flush();
             }
         }
-        // Wake the owning reactor only when this turn left something
-        // it must act on: a finished/broken connection to finalize, a
-        // short write to re-arm EPOLLOUT for, or a backpressure pause
-        // to lift now that the buffer drained. The common fully-flushed
-        // turn changes none of these, and skipping the waker write
-        // spares a syscall plus a reactor pass per worker turn.
-        // (`closing` with a drained buffer became `close_now` inside
-        // `try_flush` above, so checking the flags after the flush is
-        // exhaustive. If the reactor pauses this connection
-        // concurrently with our check reading `false`, its same-pass
-        // `refresh` observes the already-drained buffer and unpauses
-        // without our nudge.)
-        let needs_reactor = {
-            let o = conn.out.lock();
-            o.close_now || o.want_write || o.closing
-        } || conn.paused.load(Ordering::SeqCst);
-        if needs_reactor {
-            conn.nudge();
-        }
+        conn.settle();
     }
 }

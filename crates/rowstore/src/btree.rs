@@ -10,7 +10,7 @@
 //! them as user changes (paper §5.3, challenge 2).
 
 use crate::alloc::PageAllocator;
-use crate::bufferpool::BufferPool;
+use crate::bufferpool::{BufferPool, Fetch};
 use crate::page::{Page, PageKind, INTERNAL_KEY_CAPACITY, PAGE_BYTE_CAPACITY};
 use imci_common::{Error, PageId, Result, RowDiff, TableId, Tid, SYSTEM_TID};
 use imci_wal::{LogWriter, RedoPayload};
@@ -124,7 +124,7 @@ impl BTree {
     /// `DROP TABLE` to recycle the tree's pages through the free list.
     pub fn all_pages(&self) -> Result<Vec<PageId>> {
         let mut out = vec![self.meta_page];
-        let mut stack = vec![self.root()?];
+        let mut stack = vec![self.root(Fetch::Load)?];
         while let Some(id) = stack.pop() {
             out.push(id);
             let arc = self.bp.get(id)?;
@@ -148,8 +148,8 @@ impl BTree {
         Ok(())
     }
 
-    fn root(&self) -> Result<PageId> {
-        let meta = self.bp.get(self.meta_page)?;
+    fn root(&self, how: Fetch) -> Result<PageId> {
+        let meta = self.bp.fetch(self.meta_page, how)?;
         let m = meta.read();
         match &m.kind {
             PageKind::Meta { root } => Ok(*root),
@@ -157,13 +157,14 @@ impl BTree {
         }
     }
 
-    /// Path of page ids from root (inclusive) to the leaf for `pk`.
-    fn descend(&self, pk: i64) -> Result<Vec<PageId>> {
+    /// Path of page ids from root (inclusive) to the leaf for `pk`,
+    /// reading pages the way `how` allows.
+    fn descend(&self, pk: i64, how: Fetch) -> Result<Vec<PageId>> {
         let mut path = Vec::with_capacity(4);
-        let mut cur = self.root()?;
+        let mut cur = self.root(how)?;
         loop {
             path.push(cur);
-            let arc = self.bp.get(cur)?;
+            let arc = self.bp.fetch(cur, how)?;
             let p = arc.read();
             match &p.kind {
                 PageKind::Leaf { .. } => return Ok(path),
@@ -182,10 +183,12 @@ impl BTree {
         }
     }
 
-    /// Point lookup.
-    pub fn get(&self, pk: i64) -> Result<Option<Vec<u8>>> {
-        let path = self.descend(pk)?;
-        let leaf = self.bp.get(*path.last().unwrap())?;
+    /// Point lookup, reading pages the way `how` allows: with
+    /// [`Fetch::Resident`] a page missing from the buffer pool fails the
+    /// lookup instead of reading shared storage.
+    pub fn get(&self, pk: i64, how: Fetch) -> Result<Option<Vec<u8>>> {
+        let path = self.descend(pk, how)?;
+        let leaf = self.bp.fetch(*path.last().unwrap(), how)?;
         let p = leaf.read();
         Ok(match p.leaf_slot(pk)? {
             Ok(idx) => Some(p.leaf_entries()?[idx].1.clone()),
@@ -195,7 +198,7 @@ impl BTree {
 
     /// Insert; errors on duplicate key.
     pub fn insert(&self, pk: i64, image: Vec<u8>, ctx: &RedoCtx) -> Result<()> {
-        let path = self.descend(pk)?;
+        let path = self.descend(pk, Fetch::Load)?;
         let leaf_id = *path.last().unwrap();
         let leaf_arc = self.bp.get(leaf_id)?;
         let needs_split;
@@ -217,7 +220,7 @@ impl BTree {
 
     /// Update the row at `pk` with a new image; returns the old image.
     pub fn update(&self, pk: i64, new_image: Vec<u8>, ctx: &RedoCtx) -> Result<Vec<u8>> {
-        let path = self.descend(pk)?;
+        let path = self.descend(pk, Fetch::Load)?;
         let leaf_id = *path.last().unwrap();
         let leaf_arc = self.bp.get(leaf_id)?;
         let (old, needs_split);
@@ -241,7 +244,7 @@ impl BTree {
 
     /// Delete the row at `pk`; returns the old image.
     pub fn delete(&self, pk: i64, ctx: &RedoCtx) -> Result<Vec<u8>> {
-        let path = self.descend(pk)?;
+        let path = self.descend(pk, Fetch::Load)?;
         let leaf_arc = self.bp.get(*path.last().unwrap())?;
         let mut leaf = leaf_arc.write();
         let idx = match leaf.leaf_slot(pk)? {
@@ -419,7 +422,7 @@ impl BTree {
 
     /// Leftmost leaf (start of the leaf chain).
     pub fn first_leaf(&self) -> Result<PageId> {
-        let mut cur = self.root()?;
+        let mut cur = self.root(Fetch::Load)?;
         loop {
             let arc = self.bp.get(cur)?;
             let p = arc.read();
@@ -438,7 +441,7 @@ impl BTree {
     /// Scan rows with `lo <= pk <= hi` into a callback; returns count.
     pub fn scan_range<F: FnMut(i64, &[u8])>(&self, lo: i64, hi: i64, mut f: F) -> Result<usize> {
         let mut count = 0;
-        let path = self.descend(lo)?;
+        let path = self.descend(lo, Fetch::Load)?;
         let mut cur = Some(*path.last().unwrap());
         while let Some(id) = cur {
             let arc = self.bp.get(id)?;
@@ -493,9 +496,9 @@ mod tests {
             t.insert(pk, vec![pk as u8], &ctx).unwrap();
         }
         for pk in [1i64, 3, 5, 7, 9] {
-            assert_eq!(t.get(pk).unwrap(), Some(vec![pk as u8]));
+            assert_eq!(t.get(pk, Fetch::Load).unwrap(), Some(vec![pk as u8]));
         }
-        assert_eq!(t.get(2).unwrap(), None);
+        assert_eq!(t.get(2, Fetch::Load).unwrap(), None);
         assert_eq!(t.count().unwrap(), 5);
     }
 
@@ -512,10 +515,10 @@ mod tests {
         t.insert(1, vec![1], &ctx).unwrap();
         let old = t.update(1, vec![9, 9], &ctx).unwrap();
         assert_eq!(old, vec![1]);
-        assert_eq!(t.get(1).unwrap(), Some(vec![9, 9]));
+        assert_eq!(t.get(1, Fetch::Load).unwrap(), Some(vec![9, 9]));
         let old = t.delete(1, &ctx).unwrap();
         assert_eq!(old, vec![9, 9]);
-        assert_eq!(t.get(1).unwrap(), None);
+        assert_eq!(t.get(1, Fetch::Load).unwrap(), None);
         assert!(t.delete(1, &ctx).is_err());
         assert!(t.update(1, vec![0], &ctx).is_err());
     }
@@ -541,8 +544,50 @@ mod tests {
         assert_eq!(seen, n);
         // Point lookups still work post-split.
         for pk in [0i64, 1, 2499, 2500, 4999] {
-            assert!(t.get(pk).unwrap().is_some(), "pk {pk} lost after splits");
+            assert!(
+                t.get(pk, Fetch::Load).unwrap().is_some(),
+                "pk {pk} lost after splits"
+            );
         }
+    }
+
+    #[test]
+    fn resident_lookup_never_reads_shared_storage() {
+        let fs = PolarFs::instant();
+        let bp = BufferPool::new(fs.clone(), 8);
+        let ctx = RedoCtx::unlogged(TableId(1));
+        let t = BTree::create(bp.clone(), Arc::new(PageAllocator::new(1)), &ctx).unwrap();
+        for pk in 0..3000i64 {
+            t.insert(pk, vec![(pk % 251) as u8; 64], &ctx).unwrap();
+        }
+        bp.flush_all();
+        // Far more pages than frames: some lookups need evicted pages.
+        let reads = fs.stats().page_reads();
+        let (mut hits, mut misses) = (0, 0);
+        for pk in (0..3000i64).step_by(7) {
+            match t.get(pk, Fetch::Resident) {
+                Ok(img) => {
+                    hits += 1;
+                    assert_eq!(img, Some(vec![(pk % 251) as u8; 64]));
+                }
+                Err(_) => misses += 1,
+            }
+        }
+        assert_eq!(
+            fs.stats().page_reads(),
+            reads,
+            "resident lookups read storage"
+        );
+        assert!(misses > 0, "the pool must be too small to hold the tree");
+        assert!(hits > 0, "the root path stays resident");
+        // The loading lookup answers the same keys.
+        for pk in (0..3000i64).step_by(7) {
+            assert_eq!(
+                t.get(pk, Fetch::Load).unwrap(),
+                Some(vec![(pk % 251) as u8; 64])
+            );
+        }
+        assert!(fs.stats().page_reads() > reads);
     }
 
     #[test]
@@ -623,6 +668,6 @@ mod tests {
         let bp2 = BufferPool::new(fs, 1024);
         let t2 = BTree::open(bp2, alloc, meta);
         assert_eq!(t2.count().unwrap(), 500);
-        assert_eq!(t2.get(250).unwrap(), Some(vec![1, 2, 3]));
+        assert_eq!(t2.get(250, Fetch::Load).unwrap(), Some(vec![1, 2, 3]));
     }
 }

@@ -23,6 +23,18 @@ struct Frame {
     last_used: AtomicU64,
 }
 
+/// How a read obtains a page the pool does not hold.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fetch {
+    /// Load misses from shared storage (a storage read that may wait
+    /// on I/O).
+    Load,
+    /// Resident pages only: a miss is an error, never a storage read.
+    /// For callers that must not block, such as the service tier's
+    /// reactor threads.
+    Resident,
+}
+
 /// A fixed-capacity page cache with LRU eviction; dirty pages are
 /// written back to shared storage on eviction or explicit flush.
 pub struct BufferPool {
@@ -94,6 +106,18 @@ impl BufferPool {
             self.touch(f);
             f.page.clone()
         })
+    }
+
+    /// Fetch a page the way `how` allows: [`BufferPool::get`] for
+    /// [`Fetch::Load`], [`BufferPool::get_local`] for
+    /// [`Fetch::Resident`], where a miss is an `Error::Storage`.
+    pub(crate) fn fetch(&self, id: PageId, how: Fetch) -> Result<Arc<RwLock<Page>>> {
+        match how {
+            Fetch::Load => self.get(id),
+            Fetch::Resident => self
+                .get_local(id)
+                .ok_or_else(|| Error::Storage(format!("page {id} is not resident"))),
+        }
     }
 
     /// Install a brand-new page (e.g. the right sibling of a split, or a

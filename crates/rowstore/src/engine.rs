@@ -745,7 +745,7 @@ impl RowEngine {
     /// Point lookup by primary key.
     pub fn get_row(&self, table: &str, pk: i64) -> Result<Option<Row>> {
         let rt = self.table(table)?;
-        match rt.tree.get(pk)? {
+        match rt.tree.get(pk, crate::bufferpool::Fetch::Load)? {
             Some(img) => Ok(Some(Row::decode(&img)?)),
             None => Ok(None),
         }

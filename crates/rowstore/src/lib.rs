@@ -29,7 +29,7 @@ pub mod txn;
 
 pub use alloc::PageAllocator;
 pub use apply::{apply_entry, LogicalChange, LogicalDml};
-pub use bufferpool::BufferPool;
+pub use bufferpool::{BufferPool, Fetch};
 pub use engine::RowEngine;
 pub use page::{Page, PageKind, PAGE_BYTE_CAPACITY};
 pub use recovery::{RecoverOptions, RecoveryReport};

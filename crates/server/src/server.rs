@@ -21,7 +21,9 @@ use crate::protocol::{
 };
 use imci_cluster::{Cluster, ExecOpts};
 use imci_common::{Error, Result, Value};
-use imci_net::{Goodbye, InputBuf, NetConfig, NetServer, Proto, RunOutcome, ServiceStats, Step};
+use imci_net::{
+    Goodbye, InputBuf, NetConfig, NetServer, Proto, Refusal, RunOutcome, ServiceStats, Step,
+};
 use imci_sql::{EngineChoice, QueryResult};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -355,39 +357,71 @@ impl Proto for ImciProto {
         }
     }
 
-    fn over_budget_frame(&self) -> Vec<u8> {
+    fn refusal_frame(&self, why: Refusal) -> Vec<u8> {
         // No session exists yet, so no negotiated version: the refusal
-        // is a v1 text line, readable by every client.
+        // is a v1 text line, readable by every client. Both are
+        // retryable, like the in-session drain goodbye.
+        let msg = match why {
+            Refusal::OverBudget => "connection budget exhausted; retry later",
+            Refusal::Drain => "server shutting down",
+        };
         let mut out = Vec::new();
         emit(
             &mut out,
             &Response::Err {
                 kind: "busy".to_string(),
-                msg: "connection budget exhausted; retry later".to_string(),
+                msg: msg.to_string(),
             },
             1,
         );
         out
     }
 
+    /// `HELLO`, `SET`, shed `busy` replies, and the `STATUS` reports
+    /// and point SELECTs the cluster can answer without waiting
+    /// ([`Cluster::try_status`], [`Cluster::try_point_read`]) run on the
+    /// reactor. Everything else goes to a worker, including a `STATUS`
+    /// or point SELECT the cluster declines: the worker re-runs it the
+    /// waiting way (a point SELECT through `execute_many`, which reads
+    /// storage and replays).
+    fn try_inline(
+        &self,
+        exec: &mut ExecState,
+        unit: Unit,
+        out: &mut Vec<u8>,
+    ) -> Result<RunOutcome, Unit> {
+        let Err(unit) = answer_now(exec, unit, out) else {
+            return Ok(RunOutcome::default());
+        };
+        let resp = match unit {
+            Unit::Status => match self.cluster.try_status() {
+                Some(now) => status_response(&self.cluster, &self.stats, now),
+                None => return Err(Unit::Status),
+            },
+            Unit::Query(sql) => match self.cluster.try_point_read(&sql, exec.session) {
+                Some(result) => {
+                    self.stats.queries.fetch_add(1, Ordering::Relaxed);
+                    response_of(result, true)
+                }
+                None => return Err(Unit::Query(sql)),
+            },
+            other => return Err(other),
+        };
+        emit(out, &resp, exec.version);
+        Ok(RunOutcome::default())
+    }
+
     fn run(&self, exec: &mut ExecState, units: Vec<Unit>, out: &mut Vec<u8>) -> RunOutcome {
         let mut outcome = RunOutcome::default();
         let mut iter = units.into_iter().peekable();
         while let Some(unit) = iter.next() {
+            let Err(unit) = answer_now(exec, unit, out) else {
+                continue;
+            };
             match unit {
-                Unit::Hello(v) => {
-                    // Negotiate down to what both sides speak. The
-                    // reply is always a text line — the encoding switch
-                    // applies from the *next* response on.
-                    exec.version = v.clamp(1, MAX_VERSION);
-                    out.extend_from_slice(format!("HELLO {}\n", exec.version).as_bytes());
-                }
-                Unit::Set(setting) => {
-                    apply_setting(&mut exec.session, setting);
-                    emit(out, &Response::Ok { affected: 0 }, exec.version);
-                }
                 Unit::Status => {
-                    let resp = status_response(&self.cluster, &self.stats);
+                    let resp =
+                        status_response(&self.cluster, &self.stats, status_now(&self.cluster));
                     emit(out, &resp, exec.version);
                 }
                 Unit::Stmt(id, sql) => {
@@ -431,16 +465,6 @@ impl Proto for ImciProto {
                     let resp = execute_batch(&self.cluster, exec, reqs, &self.stats);
                     emit(out, &resp, exec.version);
                 }
-                Unit::Busy => {
-                    emit(
-                        out,
-                        &Response::Err {
-                            kind: "busy".to_string(),
-                            msg: "statement queue full; retry after backoff".to_string(),
-                        },
-                        exec.version,
-                    );
-                }
                 Unit::Fatal { kind, msg } => {
                     emit(
                         out,
@@ -453,10 +477,41 @@ impl Proto for ImciProto {
                     outcome.close = true;
                 }
                 Unit::Quit => outcome.close = true,
+                // Answered by `answer_now` above.
+                Unit::Hello(_) | Unit::Set(_) | Unit::Busy => {}
             }
         }
         outcome
     }
+}
+
+/// Answer the units whose reply touches no cluster state — `HELLO`,
+/// `SET` and shed `busy` replies — on whichever thread runs them
+/// (reactor or worker). Any other unit comes back as `Err(unit)`.
+fn answer_now(exec: &mut ExecState, unit: Unit, out: &mut Vec<u8>) -> Result<(), Unit> {
+    match unit {
+        Unit::Hello(v) => {
+            // Negotiate down to what both sides speak. The reply is
+            // always a text line — the encoding switch applies from the
+            // *next* response on.
+            exec.version = v.clamp(1, MAX_VERSION);
+            out.extend_from_slice(format!("HELLO {}\n", exec.version).as_bytes());
+        }
+        Unit::Set(setting) => {
+            apply_setting(&mut exec.session, setting);
+            emit(out, &Response::Ok { affected: 0 }, exec.version);
+        }
+        Unit::Busy => emit(
+            out,
+            &Response::Err {
+                kind: "busy".to_string(),
+                msg: "statement queue full; retry after backoff".to_string(),
+            },
+            exec.version,
+        ),
+        other => return Err(other),
+    }
+    Ok(())
 }
 
 /// Encode one response in the session's negotiated encoding, appended
@@ -509,7 +564,7 @@ fn execute_batch(
                 i += 1;
             }
             Request::Status => {
-                parts.push(status_response(cluster, stats));
+                parts.push(status_response(cluster, stats, status_now(cluster)));
                 i += 1;
             }
             Request::Stmt(id, sql) => {
@@ -640,12 +695,23 @@ fn execute_stmt(
     resp
 }
 
+/// The writer role and applied LSN a `STATUS` reports, waiting for the
+/// cluster's locks if a promotion or scale-out holds them.
+fn status_now(cluster: &Cluster) -> (&'static str, u64) {
+    (cluster.writer_role(), cluster.applied_lsn())
+}
+
 /// Build the `STATUS` report: a one-row result set with the node role,
-/// writer epoch, applied LSN and supervisor state, plus the
-/// fault-tolerance counters. Also mirrors the cluster's supervisor
-/// counters into the service stats so watchers holding only a
-/// [`ServerStats`] handle observe them.
-fn status_response(cluster: &Cluster, stats: &ServerStats) -> Response {
+/// writer epoch, applied LSN (`role` and `applied_lsn` come from
+/// [`Cluster::try_status`] or [`status_now`]) and supervisor state,
+/// plus the fault-tolerance counters. Also mirrors the cluster's
+/// supervisor counters into the service stats so watchers holding only
+/// a [`ServerStats`] handle observe them.
+fn status_response(
+    cluster: &Cluster,
+    stats: &ServerStats,
+    (role, applied_lsn): (&'static str, u64),
+) -> Response {
     let auto = cluster.auto_failovers();
     let detect = cluster.detection_ms_last();
     stats.auto_failovers.store(auto, Ordering::Relaxed);
@@ -662,9 +728,9 @@ fn status_response(cluster: &Cluster, stats: &ServerStats) -> Response {
     .map(String::from)
     .to_vec();
     let row = vec![
-        Value::Str(cluster.writer_role().to_string()),
+        Value::Str(role.to_string()),
         Value::Int(cluster.fs.current_epoch() as i64),
-        Value::Int(cluster.applied_lsn() as i64),
+        Value::Int(applied_lsn as i64),
         Value::Str(cluster.supervisor_state().to_string()),
         Value::Int(auto as i64),
         Value::Int(stats.replayed_stmts.load(Ordering::Relaxed) as i64),

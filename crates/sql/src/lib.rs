@@ -19,7 +19,7 @@ use imci_common::{
 use imci_core::ColumnStore;
 use imci_executor::{ExecContext, PhysicalPlan};
 use parking_lot::Mutex;
-use rowstore::RowEngine;
+use rowstore::{Fetch, RowEngine};
 use std::sync::Arc;
 
 pub use ast::{SelectStmt, Statement};
@@ -180,20 +180,42 @@ impl QueryEngine {
     /// [`QueryOptions`]. The old `execute`/`execute_forced`/
     /// `execute_select*` family survives as deprecated shims over this.
     pub fn run(&self, sql: &str, opts: &QueryOptions) -> Result<QueryResult> {
-        // Scanner-level point-read fast path: recognize the hot OLTP
-        // shape (`SELECT cols FROM t WHERE pk = k`) before even lexing
-        // — the full parse costs more than the lookup. Any mismatch or
-        // failed name resolution falls through to the real parser.
-        if opts.engine.or(*self.force.lock()) != Some(EngineChoice::Column) {
-            if let Some(ps) = parser::scan_point_select(sql) {
-                let out: Vec<(&str, Option<&str>)> = ps.cols.iter().map(|c| (*c, None)).collect();
-                if let Some(r) = self.point_lookup(ps.table, ps.filter_col, &out, ps.pk)? {
-                    return Ok(r);
-                }
-            }
+        if let Some(r) = self.scan_point(sql, opts, Fetch::Load)? {
+            return Ok(r);
         }
         let stmt = parse(sql)?;
         self.run_stmt(&stmt, opts)
+    }
+
+    /// The point-read fast path over resident pages only, for callers
+    /// that must never block (the service tier's reactor threads).
+    /// `None` when `sql` is not a point read, a page on the lookup path
+    /// is not in the buffer pool, or anything fails: the caller then
+    /// runs the statement through [`QueryEngine::run`], which loads
+    /// pages and reports errors.
+    pub fn try_point_resident(&self, sql: &str, opts: &QueryOptions) -> Option<QueryResult> {
+        self.scan_point(sql, opts, Fetch::Resident).ok().flatten()
+    }
+
+    /// Scanner-level point-read fast path: recognize the hot OLTP shape
+    /// (`SELECT cols FROM t WHERE pk = k`) before even lexing — the full
+    /// parse costs more than the lookup. `Ok(None)` on any mismatch,
+    /// failed name resolution or column-engine pin, so the caller falls
+    /// through to the real parser.
+    fn scan_point(
+        &self,
+        sql: &str,
+        opts: &QueryOptions,
+        fetch: Fetch,
+    ) -> Result<Option<QueryResult>> {
+        if opts.engine.or(*self.force.lock()) == Some(EngineChoice::Column) {
+            return Ok(None);
+        }
+        let Some(ps) = parser::scan_point_select(sql) else {
+            return Ok(None);
+        };
+        let out: Vec<(&str, Option<&str>)> = ps.cols.iter().map(|c| (*c, None)).collect();
+        self.point_lookup(ps.table, ps.filter_col, &out, ps.pk, fetch)
     }
 
     /// Execute a parsed statement with options.
@@ -531,20 +553,22 @@ impl QueryEngine {
             }
             out.push((c.column.as_str(), item.alias.as_deref()));
         }
-        self.point_lookup(&tref.table, &fcol.column, &out, pk)
+        self.point_lookup(&tref.table, &fcol.column, &out, pk, Fetch::Load)
     }
 
     /// Shared core of the point-read fast path: resolve names against
-    /// the catalog and answer from the row store's pk index. `Ok(None)`
-    /// whenever resolution fails — the general path owns error
-    /// reporting (and the cluster's catalog-refresh retry relies on
-    /// the general path's `Error::Catalog`).
+    /// the catalog and answer from the row store's pk index, reading
+    /// pages the way `fetch` allows. `Ok(None)` whenever resolution
+    /// fails — the general path owns error reporting (and the cluster's
+    /// catalog-refresh retry relies on the general path's
+    /// `Error::Catalog`).
     fn point_lookup(
         &self,
         table: &str,
         filter_col: &str,
         out: &[(&str, Option<&str>)],
         pk: i64,
+        fetch: Fetch,
     ) -> Result<Option<QueryResult>> {
         let Ok(rt) = self.row.table(table) else {
             return Ok(None); // unknown table: let bind report it
@@ -562,7 +586,7 @@ impl QueryEngine {
             proj.push(idx);
             columns.push(alias.unwrap_or(name).to_ascii_lowercase());
         }
-        let rows = match rt.tree.get(pk)? {
+        let rows = match rt.tree.get(pk, fetch)? {
             Some(img) => {
                 let row = imci_common::Row::decode(&img)?;
                 vec![proj.iter().map(|&i| row.values[i].clone()).collect()]
@@ -875,6 +899,36 @@ mod tests {
             run(&qe, "SELECT x FROM missing WHERE id = 1"),
             Err(Error::Catalog(_))
         ));
+    }
+
+    #[test]
+    fn resident_point_path_answers_like_run_or_declines() {
+        let qe = node();
+        seed(&qe, 50);
+        let sql = "SELECT qty, name FROM items WHERE id = 7";
+        let inline = qe
+            .try_point_resident(sql, &QueryOptions::default())
+            .expect("resident point read");
+        let general = run(&qe, sql).unwrap();
+        assert_eq!(inline.rows, general.rows);
+        assert_eq!(inline.columns, general.columns);
+        assert_eq!(inline.engine, EngineChoice::Row);
+        // Declined: not a point read, a name the binder must report, or
+        // a column-engine pin.
+        for sql in [
+            "SELECT COUNT(*) FROM items",
+            "SELECT nope FROM items WHERE id = 1",
+            "SELECT x FROM missing WHERE id = 1",
+            "UPDATE items SET qty = 1 WHERE id = 1",
+        ] {
+            assert!(
+                qe.try_point_resident(sql, &QueryOptions::default())
+                    .is_none(),
+                "{sql}"
+            );
+        }
+        let column = QueryOptions::forced(Some(EngineChoice::Column));
+        assert!(qe.try_point_resident(sql, &column).is_none());
     }
 
     #[test]
