@@ -287,41 +287,32 @@ impl Drop for Supervisor {
     }
 }
 
+/// How long a booted follower may take to replay up to the LSN it must
+/// serve from (scale-out, failover column rebuild).
+const CATCH_UP_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// The error for a follower that missed [`CATCH_UP_TIMEOUT`].
+fn catch_up_timeout(node: &str, target: u64) -> Error {
+    Error::Replication(format!(
+        "{node} did not apply LSN {target} within {}s",
+        CATCH_UP_TIMEOUT.as_secs()
+    ))
+}
+
 /// Supervisor state codes (stored in an atomic, reported by `STATUS`).
 const SUP_OFF: u64 = 0;
 const SUP_ARMING: u64 = 1;
 const SUP_WATCHING: u64 = 2;
 const SUP_PROMOTING: u64 = 3;
 
-/// Per-statement routing overrides, carried by proxy sessions
-/// (`imci_server`): `None` fields inherit the cluster-level defaults.
+/// Per-statement options, carried by proxy sessions (`imci_server`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOpts {
-    /// Consistency level for reads (paper §6.4); `None` uses
-    /// `ClusterConfig::consistency`.
+    /// Consistency level for reads (paper §6.4), resolved by the
+    /// proxy's routing; `None` uses `ClusterConfig::consistency`.
     pub consistency: Option<Consistency>,
-    /// Pin SELECTs to one engine; `None` keeps cost-based routing.
-    pub force_engine: Option<imci_sql::EngineChoice>,
-    /// Morsel-parallelism cap for column-engine SELECTs (`SET
-    /// PARALLELISM <n>`); `None` uses the node default.
-    pub parallelism: Option<usize>,
-    /// Late-materialized scan switch (`SET LATE_MATERIALIZATION
-    /// ON|OFF`); `None` uses the node default.
-    pub late_materialization: Option<bool>,
-}
-
-impl ExecOpts {
-    /// The per-call options these session overrides hand to
-    /// [`QueryEngine::run`] — the consistency field stays behind, it is
-    /// resolved by the proxy's routing, not by the node.
-    pub fn query_options(&self) -> imci_sql::QueryOptions {
-        imci_sql::QueryOptions {
-            engine: self.force_engine,
-            parallelism: self.parallelism,
-            late_materialization: self.late_materialization,
-            prune: None,
-        }
-    }
+    /// What the chosen node's [`QueryEngine::run`] gets.
+    pub query: imci_sql::QueryOptions,
 }
 
 /// RAII hold on an RO node's active-session counter (the §6.1
@@ -398,8 +389,7 @@ impl Cluster {
         let log = LogWriter::new(fs.clone(), config.propagation);
         let epoch = log.epoch();
         let engine = RowEngine::new_rw(fs.clone(), log, config.bp_capacity);
-        let mut query = QueryEngine::row_only(engine.clone());
-        query.cost_threshold = config.cost_threshold;
+        let query = QueryEngine::new(engine.clone(), None, config.cost_threshold);
         let heartbeat = Heartbeat::start(fs.clone(), epoch, config.heartbeat_interval);
         let cluster = Arc::new(Cluster {
             fs,
@@ -523,8 +513,7 @@ impl Cluster {
         // Rebuild outside the writer lock (sessions fail fast instead
         // of stalling behind a long replay), install atomically after.
         let (engine, report) = RowEngine::recover(self.fs.clone(), opts)?;
-        let mut query = QueryEngine::row_only(engine.clone());
-        query.cost_threshold = self.config.cost_threshold;
+        let query = QueryEngine::new(engine.clone(), None, self.config.cost_threshold);
         let heartbeat = engine.log().map(|log| {
             Heartbeat::start(self.fs.clone(), log.epoch(), self.config.heartbeat_interval)
         });
@@ -569,7 +558,8 @@ impl Cluster {
     /// [`ColumnAttachment`] for why the writer's own engine can't feed
     /// phase 1). Row/write service resumes *before* the column rebuild;
     /// column plans lag until the new pipeline catches up, like a
-    /// freshly scaled-out RO.
+    /// freshly scaled-out RO. A catch-up that misses its deadline is an
+    /// [`Error::Replication`], returned with the writer already serving.
     pub fn failover(&self) -> Result<FailoverReport> {
         let _promotion = self.promotion_lock.lock();
         let t0 = Instant::now();
@@ -610,8 +600,11 @@ impl Cluster {
         let t_col = Instant::now();
         let follower = self.boot_follower()?;
         let col_metrics = follower.pipeline.metrics().clone();
-        let mut query = QueryEngine::dual(node.engine.clone(), follower.store.clone());
-        query.cost_threshold = self.config.cost_threshold;
+        let query = QueryEngine::new(
+            node.engine.clone(),
+            Some(follower.store.clone()),
+            self.config.cost_threshold,
+        );
         let heartbeat = Heartbeat::start(self.fs.clone(), epoch, self.config.heartbeat_interval);
         *self.rw.write() = Some(RwNode {
             engine: node.engine.clone(),
@@ -627,8 +620,8 @@ impl Cluster {
         // Catch the column store up to the promotion point so IMCI
         // plans answer from day one; later commits stream in via CALS
         // like on any RO.
-        if state.applied_lsn > 0 {
-            col_metrics.wait_applied_at_least(state.applied_lsn, Duration::from_secs(60));
+        if !col_metrics.wait_applied_at_least(state.applied_lsn, CATCH_UP_TIMEOUT) {
+            return Err(catch_up_timeout(&node.name, state.applied_lsn));
         }
         let column_rebuild_time = t_col.elapsed();
         Ok(FailoverReport {
@@ -650,7 +643,8 @@ impl Cluster {
     fn boot_follower(&self) -> Result<Follower> {
         let engine = RowEngine::new_replica(self.fs.clone(), usize::MAX / 2);
         let store = Arc::new(ColumnStore::new(self.config.group_cap));
-        let (start_offset, from_checkpoint) = match imci_core::latest_checkpoint(&self.fs) {
+        let checkpoint = imci_core::latest_checkpoint(&self.fs);
+        let (start_offset, commit_lsn, from_checkpoint) = match checkpoint {
             Some(seq) => {
                 // Fast start: the checkpoint's catalog snapshot (schemas
                 // + catalog version as of its redo cursor), row pages,
@@ -665,25 +659,31 @@ impl Cluster {
                     rt.row_counter
                         .store(rt.tree.count()? as u64, Ordering::SeqCst);
                     if rt.schema.has_column_index() {
-                        if let Ok(idx) =
-                            imci_core::load_index(&self.fs, seq, &rt.schema, self.config.group_cap)
-                        {
-                            store.install(idx);
-                        } else {
-                            store.create_index(&rt.schema);
-                        }
+                        // No empty stand-in for an index that does not
+                        // load: replay resumes after the checkpoint, so
+                        // column plans would miss every row before it.
+                        store.install(imci_core::load_index(
+                            &self.fs,
+                            seq,
+                            &rt.schema,
+                            self.config.group_cap,
+                        )?);
                     }
                 }
-                (meta.redo_offset, true)
+                (meta.redo_offset, meta.commit_lsn, true)
             }
             // Cold start: the node boots with an *empty* catalog — the
             // log's DDL records rebuild tables and column indexes in
             // LSN order as the pipeline replays from offset 0.
-            None => (0, false),
+            None => (0, 0, false),
         };
         let mut repl = self.config.replication.clone();
         repl.start_offset = start_offset;
         let pipeline = Pipeline::start(self.fs.clone(), engine.clone(), store.clone(), repl);
+        // The checkpoint state covers every commit up to its LSN; replay
+        // only advances the watermark past it. Unseeded, a node with no
+        // commit after the checkpoint would report applied LSN 0.
+        pipeline.metrics().advance_applied(commit_lsn);
         Ok(Follower {
             engine,
             store,
@@ -704,15 +704,16 @@ impl Cluster {
         // Catch up to the RW's current commit point before serving.
         let t1 = Instant::now();
         let target = self.written_lsn();
-        if target > 0 {
-            follower
-                .pipeline
-                .wait_applied(target, Duration::from_secs(60));
+        if !follower.pipeline.wait_applied(target, CATCH_UP_TIMEOUT) {
+            return Err(catch_up_timeout(&name, target));
         }
         let catchup_time = t1.elapsed();
 
-        let mut query = QueryEngine::dual(follower.engine.clone(), follower.store.clone());
-        query.cost_threshold = self.config.cost_threshold;
+        let query = QueryEngine::new(
+            follower.engine.clone(),
+            Some(follower.store.clone()),
+            self.config.cost_threshold,
+        );
         let node = Arc::new(RoNode {
             name: name.clone(),
             engine: follower.engine,
@@ -924,7 +925,7 @@ impl Cluster {
             pick_ro(&ros, consistency, target)?
         };
         let _session = SessionGuard::enter(&node);
-        let result = node.query.try_point_resident(sql, &opts.query_options())?;
+        let result = node.query.try_point_resident(sql, &opts.query)?;
         let routed = self.ros.try_read()?.iter().any(|n| Arc::ptr_eq(n, &node));
         routed.then_some(result)
     }
@@ -1033,7 +1034,7 @@ impl Cluster {
     /// applied LSN — strong-consistency reads fence on DDL commits and
     /// therefore always see the catalog their session expects.
     fn execute_on_ro(&self, node: &RoNode, sql: &str, opts: ExecOpts) -> Result<QueryResult> {
-        node.query.run(sql, &opts.query_options())
+        node.query.run(sql, &opts.query)
     }
 
     /// Run one write/DDL statement on the RW node. DDL (CREATE / DROP /
@@ -1049,7 +1050,7 @@ impl Cluster {
     fn execute_rw(&self, sql: &str, opts: ExecOpts) -> Result<QueryResult> {
         let rw = self.rw.read();
         match rw.as_ref() {
-            Some(node) => node.query.run(sql, &opts.query_options()),
+            Some(node) => node.query.run(sql, &opts.query),
             None => Err(Error::Failover(
                 "RW node is down; retry after recovery".into(),
             )),
@@ -1185,7 +1186,15 @@ fn supervise(weak: Weak<Cluster>, cfg: SupervisorConfig, stop: Arc<(Mutex<bool>,
 mod tests {
     use super::*;
     use imci_common::Value;
-    use imci_sql::EngineChoice;
+    use imci_sql::{EngineChoice, QueryOptions};
+
+    /// Per-call options that pin SELECTs to the column engine.
+    fn column() -> ExecOpts {
+        ExecOpts {
+            query: QueryOptions::forced(Some(EngineChoice::Column)),
+            ..Default::default()
+        }
+    }
 
     const DDL: &str = "CREATE TABLE demo (
         id INT NOT NULL, grp INT, val DOUBLE, note VARCHAR(32),
@@ -1217,16 +1226,17 @@ mod tests {
             .unwrap();
         }
         assert!(c.wait_sync(Duration::from_secs(20)), "ROs must catch up");
-        // Analytical query routes to RO; force column for determinism.
-        c.ros.read()[0].query.set_force(Some(EngineChoice::Column));
+        // Analytical query routes to RO; pin column for determinism.
         let res = c
-            .execute("SELECT grp, COUNT(*), SUM(val) FROM demo GROUP BY grp ORDER BY grp")
+            .execute_opts(
+                "SELECT grp, COUNT(*), SUM(val) FROM demo GROUP BY grp ORDER BY grp",
+                column(),
+            )
             .unwrap();
         assert_eq!(res.rows.len(), 3);
         assert_eq!(res.rows[0][1], Value::Int(100));
         assert_eq!(res.engine, EngineChoice::Column);
         // Point query stays on the row path.
-        c.ros.read()[0].query.set_force(None);
         let res = c.execute("SELECT note FROM demo WHERE id = 7").unwrap();
         assert_eq!(res.engine, EngineChoice::Row);
         assert_eq!(res.rows[0][0], Value::Str("n2".into()));
@@ -1324,9 +1334,9 @@ mod tests {
         // The ALTER ships as a DDL record whose commit advances the
         // written LSN, so wait_sync covers the RO-side index rebuild.
         assert!(c.wait_sync(Duration::from_secs(20)));
-        let node = c.ros.read()[0].clone();
-        node.query.set_force(Some(EngineChoice::Column));
-        let res = c.execute("SELECT SUM(v) FROM plain").unwrap();
+        let res = c
+            .execute_opts("SELECT SUM(v) FROM plain", column())
+            .unwrap();
         assert_eq!(res.rows[0][0], Value::Int((0..100).sum::<i64>()));
         assert_eq!(
             res.engine,
@@ -1453,8 +1463,7 @@ mod tests {
             consistency: Some(Consistency::Strong),
             // The RW node has no column store: a result on the COLUMN
             // engine proves the statement ran on an RO node.
-            force_engine: Some(EngineChoice::Column),
-            ..Default::default()
+            ..column()
         };
         for sql in [
             "-- comment\nSELECT COUNT(*) FROM demo",
@@ -1520,11 +1529,7 @@ mod tests {
             assert_eq!(got.rows, want.rows);
             assert_eq!(got.columns, want.columns);
         }
-        let column = ExecOpts {
-            force_engine: Some(EngineChoice::Column),
-            ..Default::default()
-        };
-        assert!(c.try_point_read(sql, column).is_none(), "engine pin");
+        assert!(c.try_point_read(sql, column()).is_none(), "engine pin");
         assert!(c
             .try_point_read("SELECT COUNT(*) FROM demo", strong)
             .is_none());
@@ -1629,8 +1634,7 @@ mod tests {
         // read through the column engine.
         let opts = ExecOpts {
             consistency: Some(Consistency::Strong),
-            force_engine: Some(EngineChoice::Column),
-            ..Default::default()
+            ..column()
         };
         let res = c.execute_opts("SELECT COUNT(*) FROM demo", opts).unwrap();
         assert_eq!(res.rows[0][0], Value::Int(399));
@@ -1842,11 +1846,7 @@ mod tests {
         assert!(c.ros.read().is_empty(), "single RO was promoted");
         assert!(report.column_rebuild_time > Duration::ZERO);
 
-        let opts = ExecOpts {
-            consistency: None,
-            force_engine: Some(EngineChoice::Column),
-            ..Default::default()
-        };
+        let opts = column();
         let res = c
             .execute_opts(
                 "SELECT grp, COUNT(*) FROM demo GROUP BY grp ORDER BY grp",

@@ -27,6 +27,9 @@ use std::sync::Arc;
 pub struct CheckpointMeta {
     /// Checkpoint sequence number (a committed VID; §7).
     pub csn: u64,
+    /// LSN of the last commit record the checkpoint covers: the applied
+    /// LSN of a node booted from it, before replay adds anything.
+    pub commit_lsn: u64,
     /// REDO byte offset to resume replay from.
     pub redo_offset: u64,
     /// Per-table group layout: (table, group count, next_rid, rows
@@ -68,7 +71,8 @@ pub fn ckpt_rowpages_prefix(seq: u64) -> String {
     format!("{}rowpages/", prefix(seq))
 }
 
-/// Write a checkpoint of `indexes` at `csn` / `redo_offset`.
+/// Write a checkpoint of `indexes` at `csn` / `commit_lsn` /
+/// `redo_offset`.
 ///
 /// Caller must quiesce Phase-2 appliers first so that the visible state
 /// equals `csn` exactly (the cluster checkpoints at batch boundaries).
@@ -76,12 +80,15 @@ pub fn write_checkpoint(
     fs: &PolarFs,
     seq: u64,
     csn: u64,
+    commit_lsn: u64,
     redo_offset: u64,
     indexes: &[Arc<ColumnIndex>],
 ) -> Result<()> {
     let p = prefix(seq);
     let mut meta = String::new();
-    meta.push_str(&format!("csn\t{csn}\nredo\t{redo_offset}\n"));
+    meta.push_str(&format!(
+        "csn\t{csn}\nlsn\t{commit_lsn}\nredo\t{redo_offset}\n"
+    ));
     for index in indexes {
         let groups = index.groups();
         meta.push_str(&format!(
@@ -172,12 +179,14 @@ pub fn read_meta(fs: &PolarFs, seq: u64) -> Result<CheckpointMeta> {
     let text =
         std::str::from_utf8(&bytes).map_err(|e| Error::Storage(format!("ckpt meta utf8: {e}")))?;
     let mut csn = 0;
+    let mut commit_lsn = 0;
     let mut redo_offset = 0;
     let mut tables = Vec::new();
     for line in text.lines() {
         let f: Vec<&str> = line.split('\t').collect();
         match f[0] {
             "csn" => csn = f[1].parse().unwrap_or(0),
+            "lsn" => commit_lsn = f[1].parse().unwrap_or(0),
             "redo" => redo_offset = f[1].parse().unwrap_or(0),
             "table" => {
                 let sealed = if f[4].is_empty() {
@@ -203,6 +212,7 @@ pub fn read_meta(fs: &PolarFs, seq: u64) -> Result<CheckpointMeta> {
     }
     Ok(CheckpointMeta {
         csn,
+        commit_lsn,
         redo_offset,
         tables,
     })
@@ -360,10 +370,11 @@ mod tests {
     fn checkpoint_roundtrip() {
         let fs = PolarFs::instant();
         let idx = populated_index();
-        write_checkpoint(&fs, 1, 21, 12345, std::slice::from_ref(&idx)).unwrap();
+        write_checkpoint(&fs, 1, 21, 77, 12345, std::slice::from_ref(&idx)).unwrap();
         assert_eq!(latest_checkpoint(&fs), Some(1));
         let meta = read_meta(&fs, 1).unwrap();
         assert_eq!(meta.csn, 21);
+        assert_eq!(meta.commit_lsn, 77);
         assert_eq!(meta.redo_offset, 12345);
 
         let restored = load_index(&fs, 1, &schema(), 8).unwrap();
@@ -385,7 +396,7 @@ mod tests {
     fn restored_index_accepts_new_dml() {
         let fs = PolarFs::instant();
         let idx = populated_index();
-        write_checkpoint(&fs, 7, 21, 0, &[idx]).unwrap();
+        write_checkpoint(&fs, 7, 21, 0, 0, &[idx]).unwrap();
         let restored = load_index(&fs, 7, &schema(), 8).unwrap();
         restored
             .insert(
@@ -408,7 +419,7 @@ mod tests {
         // out, so the restored index still shows pk 5.
         let fs = PolarFs::instant();
         let idx = populated_index();
-        write_checkpoint(&fs, 2, 20, 0, &[idx]).unwrap();
+        write_checkpoint(&fs, 2, 20, 0, 0, &[idx]).unwrap();
         let restored = load_index(&fs, 2, &schema(), 8).unwrap();
         // Scans go through the VID maps: the post-CSN delete is masked,
         // so row 5 (RID 5 → group 0, offset 5) is visible at csn 20.
@@ -427,8 +438,8 @@ mod tests {
     fn latest_checkpoint_picks_max() {
         let fs = PolarFs::instant();
         let idx = populated_index();
-        write_checkpoint(&fs, 3, 21, 0, std::slice::from_ref(&idx)).unwrap();
-        write_checkpoint(&fs, 10, 21, 0, &[idx]).unwrap();
+        write_checkpoint(&fs, 3, 21, 0, 0, std::slice::from_ref(&idx)).unwrap();
+        write_checkpoint(&fs, 10, 21, 0, 0, &[idx]).unwrap();
         assert_eq!(latest_checkpoint(&fs), Some(10));
         assert_eq!(latest_checkpoint(&PolarFs::instant()), None);
     }

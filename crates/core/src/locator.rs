@@ -155,13 +155,18 @@ impl RidLocator {
 
     /// Freeze the memtable into an immutable run.
     pub fn freeze(&self) {
-        let mut mt = self.memtable.write();
-        if mt.is_empty() {
-            return;
-        }
-        let entries: Vec<(i64, Option<Rid>)> = std::mem::take(&mut *mt).into_iter().collect();
-        drop(mt);
+        // The run list is locked before the memtable is emptied: a reader
+        // that misses a frozen key in the memtable then waits on the run
+        // list until its run is published (instead of finding it in
+        // neither layer), and concurrent freezes publish in age order.
         let mut runs = self.runs.write();
+        let entries: Vec<(i64, Option<Rid>)> = {
+            let mut mt = self.memtable.write();
+            if mt.is_empty() {
+                return;
+            }
+            std::mem::take(&mut *mt).into_iter().collect()
+        };
         let mut list: Vec<Arc<Run>> = (**runs).clone();
         list.insert(0, Arc::new(Run { entries }));
         if list.len() > self.max_runs {

@@ -110,6 +110,7 @@ pub fn take_checkpoint(
         fs,
         seq,
         state.last_vid.get(),
+        state.last_commit_lsn.get(),
         state.stopped_at,
         &state.store.all(),
     )?;

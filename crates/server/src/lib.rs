@@ -461,4 +461,54 @@ mod tests {
         server.shutdown();
         cluster.shutdown();
     }
+
+    #[test]
+    fn interleaved_sessions_each_plan_with_their_own_options() {
+        let (server, cluster) = serve_small_cluster();
+        let mut a = Client::connect(server.local_addr()).unwrap();
+        let mut b = Client::connect(server.local_addr()).unwrap();
+        a.execute(
+            "CREATE TABLE po (id INT NOT NULL, v INT, PRIMARY KEY(id),
+             KEY COLUMN_INDEX(id, v))",
+        )
+        .unwrap();
+        for i in 0..50 {
+            a.execute(&format!("INSERT INTO po VALUES ({i}, {i})"))
+                .unwrap();
+        }
+        for (c, par) in [(&mut a, 1), (&mut b, 2)] {
+            c.set_consistency(Consistency::Strong).unwrap();
+            c.set_force_engine(Some(EngineChoice::Column)).unwrap();
+            c.execute(&format!("SET PARALLELISM {par}")).unwrap();
+        }
+        let sql = "SELECT COUNT(*), SUM(v) FROM po WHERE v > 9";
+        let header =
+            |c: &mut Client| match &c.execute(&format!("EXPLAIN {sql}")).unwrap().rows[0][0] {
+                Value::Str(s) => s.clone(),
+                o => panic!("{o:?}"),
+            };
+        let want = vec![vec![Value::Int(40), Value::Int((10..50).sum::<i64>())]];
+        for round in 0..4 {
+            if round == 2 {
+                b.set_force_engine(Some(EngineChoice::Row)).unwrap();
+            }
+            let (ha, hb) = (header(&mut a), header(&mut b));
+            assert!(
+                ha.starts_with("engine=column") && ha.ends_with(" parallelism=1"),
+                "{ha}"
+            );
+            if round < 2 {
+                assert!(
+                    hb.starts_with("engine=column") && hb.ends_with(" parallelism=2"),
+                    "{hb}"
+                );
+            } else {
+                assert!(hb.starts_with("engine=row"), "{hb}");
+            }
+            assert_eq!(a.execute(sql).unwrap().rows, want);
+            assert_eq!(b.execute(sql).unwrap().rows, want);
+        }
+        server.shutdown();
+        cluster.shutdown();
+    }
 }

@@ -18,7 +18,6 @@ use imci_common::{
 };
 use imci_core::ColumnStore;
 use imci_executor::{ExecContext, PhysicalPlan};
-use parking_lot::Mutex;
 use rowstore::{Fetch, RowEngine};
 use std::sync::Arc;
 
@@ -36,26 +35,26 @@ pub enum EngineChoice {
     Column,
 }
 
-/// Per-call options for [`QueryEngine::run`] — the single knob surface
-/// for engine routing and executor tuning. Every field defaults to
-/// `None`, meaning "use the node-global setting" (the atomics on
-/// [`QueryEngine`], which benches and ablations flip); a `Some` travels
-/// with the call and is safe under concurrent sessions.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Per-call options for [`QueryEngine::run`] — the only way to
+/// configure a query. The engine holds no switch of its own, so one
+/// session's options never change another's. Every field defaults to
+/// `None`, meaning the engine default: cost-based routing, the node's
+/// cores, pruning on, late materialization on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Pin SELECTs to one engine (None = cost-based routing; the
-    /// node-global [`QueryEngine::set_force`] still applies when unset).
+    /// Pin SELECTs to one engine (None = cost-based routing).
     pub engine: Option<EngineChoice>,
-    /// Morsel-parallelism cap for the column executor (clamped to ≥ 1).
+    /// Morsel-parallelism cap for the column executor (clamped to ≥ 1;
+    /// None = the node's cores).
     pub parallelism: Option<usize>,
-    /// Late-materialized scans (ablation switch).
+    /// Late-materialized scans (ablation switch; None = on).
     pub late_materialization: Option<bool>,
-    /// Pack min/max pruning (ablation switch).
+    /// Pack min/max pruning (ablation switch; None = on).
     pub prune: Option<bool>,
 }
 
 impl QueryOptions {
-    /// Options that pin the engine, leaving everything else node-global.
+    /// Options that pin the engine, leaving everything else default.
     pub fn forced(engine: Option<EngineChoice>) -> QueryOptions {
         QueryOptions {
             engine,
@@ -97,88 +96,33 @@ pub struct QueryEngine {
     /// Row-cost threshold above which queries route to the column
     /// engine (paper §6.1 intra-node routing).
     pub cost_threshold: f64,
-    /// Scan parallelism for the column engine.
-    pub parallelism: std::sync::atomic::AtomicUsize,
-    /// Pack min/max pruning switch (ablation).
-    pub prune_enabled: std::sync::atomic::AtomicBool,
-    /// Late-materialized scan switch (ablation): filter on compressed
-    /// packs, gather payload columns after.
-    pub late_mat_enabled: std::sync::atomic::AtomicBool,
-    /// Force a specific engine (benchmarks); None = cost-based.
-    pub force: Mutex<Option<EngineChoice>>,
+    /// Column-engine parallelism when a call sets none: the node's
+    /// cores, fixed when the engine is built.
+    parallelism: usize,
 }
 
 impl QueryEngine {
-    /// Engine over a row store only (RW node).
-    pub fn row_only(row: Arc<RowEngine>) -> QueryEngine {
+    /// Engine over a row store and, on nodes that hold one (RO nodes, a
+    /// promoted writer), a column store.
+    pub fn new(
+        row: Arc<RowEngine>,
+        store: Option<Arc<ColumnStore>>,
+        cost_threshold: f64,
+    ) -> QueryEngine {
         QueryEngine {
             row,
-            store: None,
-            cost_threshold: 10_000.0,
-            parallelism: std::sync::atomic::AtomicUsize::new(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4),
-            ),
-            prune_enabled: std::sync::atomic::AtomicBool::new(true),
-            late_mat_enabled: std::sync::atomic::AtomicBool::new(true),
-            force: Mutex::new(None),
+            store,
+            cost_threshold,
+            parallelism: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4),
         }
-    }
-
-    /// Engine over both formats (RO node).
-    pub fn dual(row: Arc<RowEngine>, store: Arc<ColumnStore>) -> QueryEngine {
-        QueryEngine {
-            store: Some(store),
-            ..QueryEngine::row_only(row)
-        }
-    }
-
-    /// Force all SELECTs to one engine (benchmarks/ablations).
-    pub fn set_force(&self, choice: Option<EngineChoice>) {
-        *self.force.lock() = choice;
-    }
-
-    /// Set scan parallelism (thread-safe; benches/ablations).
-    pub fn set_parallelism(&self, n: usize) {
-        self.parallelism
-            .store(n.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Toggle pack min/max pruning (thread-safe; ablations).
-    pub fn set_prune_enabled(&self, on: bool) {
-        self.prune_enabled
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Current scan parallelism.
-    pub fn get_parallelism(&self) -> usize {
-        self.parallelism.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Whether pruning is enabled.
-    pub fn get_prune_enabled(&self) -> bool {
-        self.prune_enabled
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Toggle late-materialized scans (thread-safe; ablations).
-    pub fn set_late_materialization(&self, on: bool) {
-        self.late_mat_enabled
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether late materialization is enabled.
-    pub fn get_late_materialization(&self) -> bool {
-        self.late_mat_enabled
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Execute any SQL statement (DML auto-commits). **The** entry
     /// point: SELECT routing, per-call engine pins, executor tuning,
     /// and `EXPLAIN [ANALYZE]` all go through here, parameterized by
-    /// [`QueryOptions`]. The old `execute`/`execute_forced`/
-    /// `execute_select*` family survives as deprecated shims over this.
+    /// [`QueryOptions`].
     pub fn run(&self, sql: &str, opts: &QueryOptions) -> Result<QueryResult> {
         if let Some(r) = self.scan_point(sql, opts, Fetch::Load)? {
             return Ok(r);
@@ -199,29 +143,59 @@ impl QueryEngine {
 
     /// Scanner-level point-read fast path: recognize the hot OLTP shape
     /// (`SELECT cols FROM t WHERE pk = k`) before even lexing — the full
-    /// parse costs more than the lookup. `Ok(None)` on any mismatch,
-    /// failed name resolution or column-engine pin, so the caller falls
-    /// through to the real parser.
+    /// parse costs more than the lookup — and answer from the row
+    /// store's pk index, reading pages the way `fetch` allows. `Ok(None)`
+    /// on any mismatch, failed name resolution or column-engine pin, so
+    /// the caller falls through to the real parser: the general path
+    /// owns error reporting (and the cluster's catalog-refresh retry
+    /// relies on its `Error::Catalog`).
     fn scan_point(
         &self,
         sql: &str,
         opts: &QueryOptions,
         fetch: Fetch,
     ) -> Result<Option<QueryResult>> {
-        if opts.engine.or(*self.force.lock()) == Some(EngineChoice::Column) {
+        if opts.engine == Some(EngineChoice::Column) {
             return Ok(None);
         }
         let Some(ps) = parser::scan_point_select(sql) else {
             return Ok(None);
         };
-        let out: Vec<(&str, Option<&str>)> = ps.cols.iter().map(|c| (*c, None)).collect();
-        self.point_lookup(ps.table, ps.filter_col, &out, ps.pk, fetch)
+        let Ok(rt) = self.row.table(ps.table) else {
+            return Ok(None); // unknown table: let bind report it
+        };
+        let schema = &rt.schema;
+        if schema.col_index(ps.filter_col) != Some(schema.pk_col()) {
+            return Ok(None); // not keyed on the pk: needs the planner
+        }
+        let mut proj = Vec::with_capacity(ps.cols.len());
+        let mut columns = Vec::with_capacity(ps.cols.len());
+        for name in &ps.cols {
+            let Some(idx) = schema.col_index(name) else {
+                return Ok(None); // unknown column: let bind report it
+            };
+            proj.push(idx);
+            columns.push(name.to_ascii_lowercase());
+        }
+        let rows = match rt.tree.get(ps.pk, fetch)? {
+            Some(img) => {
+                let row = imci_common::Row::decode(&img)?;
+                vec![proj.iter().map(|&i| row.values[i].clone()).collect()]
+            }
+            None => Vec::new(),
+        };
+        Ok(Some(QueryResult {
+            columns,
+            rows,
+            engine: EngineChoice::Row,
+            affected: 0,
+        }))
     }
 
     /// Execute a parsed statement with options.
     fn run_stmt(&self, stmt: &Statement, opts: &QueryOptions) -> Result<QueryResult> {
         match stmt {
-            Statement::Select(s) => self.run_select(s, opts).map(|(r, _)| r),
+            Statement::Select(s) => self.run_select(s, opts),
             Statement::Explain { analyze, select } => self.run_explain(select, *analyze, opts),
             Statement::CreateTable(ct) => {
                 let mut columns = Vec::with_capacity(ct.columns.len());
@@ -359,54 +333,30 @@ impl QueryEngine {
         }
     }
 
-    /// Bind, route, and execute a SELECT; returns the engine used.
-    fn run_select(
-        &self,
-        s: &SelectStmt,
-        opts: &QueryOptions,
-    ) -> Result<(QueryResult, EngineChoice)> {
-        // Point-read fast path: a single-table pk-equality SELECT of
-        // plain columns skips bind/plan entirely and hits the row
-        // store's pk index directly. This is the hot shape of the
-        // service tier's OLTP traffic; binding alone costs more than
-        // the lookup. Anything the fast path cannot prove returns
-        // `None` and falls through to the general path unchanged.
-        if opts.engine.or(*self.force.lock()) != Some(EngineChoice::Column) {
-            if let Some(result) = self.try_point_select(s)? {
-                return Ok((result, EngineChoice::Row));
-            }
-        }
+    /// Bind, route, and execute a SELECT. Point reads the scanner-level
+    /// fast path did not take (qualified, aliased, `LIMIT`ed) bind to a
+    /// primary-key lookup, which the cost router keeps on the row engine.
+    fn run_select(&self, s: &SelectStmt, opts: &QueryOptions) -> Result<QueryResult> {
         let q = self.bind(s)?;
-        let choice = self.route(&q, opts);
-        if choice == EngineChoice::Column {
-            match self.run_column(&q, opts) {
-                Ok(rows) => {
-                    return Ok((
-                        QueryResult {
-                            columns: q.out_names.clone(),
-                            rows,
-                            engine: EngineChoice::Column,
-                            affected: 0,
-                        },
-                        EngineChoice::Column,
-                    ))
-                }
-                Err(Error::ColumnEngineUnsupported(_)) => {
-                    // Run-time fallback to the row engine (§6.2).
-                }
+        let column = match self.route(&q, opts) {
+            EngineChoice::Column => match self.run_column(&q, opts) {
+                Ok(rows) => Some(rows),
+                // Run-time fallback to the row engine (§6.2).
+                Err(Error::ColumnEngineUnsupported(_)) => None,
                 Err(e) => return Err(e),
-            }
-        }
-        let rows = execute_row(&q, &self.row)?;
-        Ok((
-            QueryResult {
-                columns: q.out_names.clone(),
-                rows,
-                engine: EngineChoice::Row,
-                affected: 0,
             },
-            EngineChoice::Row,
-        ))
+            EngineChoice::Row => None,
+        };
+        let (rows, engine) = match column {
+            Some(rows) => (rows, EngineChoice::Column),
+            None => (execute_row(&q, &self.row)?, EngineChoice::Row),
+        };
+        Ok(QueryResult {
+            columns: q.out_names,
+            rows,
+            engine,
+            affected: 0,
+        })
     }
 
     /// Bind a SELECT against the node's catalog.
@@ -418,10 +368,10 @@ impl QueryEngine {
         bind_select(s, &lookup, self)
     }
 
-    /// §6.1 intra-node routing: per-call pin, then node-global force,
-    /// then the row-plan cost estimate against the threshold.
+    /// §6.1 intra-node routing: the per-call pin, else the row-plan
+    /// cost estimate against the threshold.
     fn route(&self, q: &BoundQuery, opts: &QueryOptions) -> EngineChoice {
-        match opts.engine.or(*self.force.lock()) {
+        match opts.engine {
             Some(c) => c,
             None => {
                 if q.row_cost > self.cost_threshold && self.store.is_some() {
@@ -505,113 +455,9 @@ impl QueryEngine {
         })
     }
 
-    /// Try the point-read fast path: `SELECT <plain cols> FROM <one
-    /// table> WHERE <pk> = <int literal>` (optionally qualified,
-    /// aliased, or LIMITed). Returns `Ok(None)` when the statement
-    /// doesn't fit, deferring every error report to the general
-    /// bind/plan path so messages stay identical.
-    fn try_point_select(&self, s: &SelectStmt) -> Result<Option<QueryResult>> {
-        if s.from.len() != 1
-            || !s.join_on.is_empty()
-            || !s.group_by.is_empty()
-            || !s.order_by.is_empty()
-            || s.limit == Some(0)
-            || s.items.is_empty()
-        {
-            return Ok(None);
-        }
-        let tref = &s.from[0];
-        let qualifier_ok = |c: &ast::ColRef| match &c.qualifier {
-            None => true,
-            Some(q) => q == &tref.alias || q == &tref.table,
-        };
-        // WHERE <pk col> = <int literal> (either operand order).
-        let Some(ast::AstExpr::Binary { op, l, r }) = &s.filter else {
-            return Ok(None);
-        };
-        if op != "=" {
-            return Ok(None);
-        }
-        let (fcol, lit) = match (&**l, &**r) {
-            (ast::AstExpr::Col(c), ast::AstExpr::Lit(v))
-            | (ast::AstExpr::Lit(v), ast::AstExpr::Col(c)) => (c, v),
-            _ => return Ok(None),
-        };
-        let &Value::Int(pk) = lit else {
-            return Ok(None);
-        };
-        if !qualifier_ok(fcol) {
-            return Ok(None);
-        }
-        let mut out = Vec::with_capacity(s.items.len());
-        for item in &s.items {
-            let ast::AstExpr::Col(c) = &item.expr else {
-                return Ok(None); // expressions/aggregates: general path
-            };
-            if !qualifier_ok(c) {
-                return Ok(None);
-            }
-            out.push((c.column.as_str(), item.alias.as_deref()));
-        }
-        self.point_lookup(&tref.table, &fcol.column, &out, pk, Fetch::Load)
-    }
-
-    /// Shared core of the point-read fast path: resolve names against
-    /// the catalog and answer from the row store's pk index, reading
-    /// pages the way `fetch` allows. `Ok(None)` whenever resolution
-    /// fails — the general path owns error reporting (and the cluster's
-    /// catalog-refresh retry relies on the general path's
-    /// `Error::Catalog`).
-    fn point_lookup(
-        &self,
-        table: &str,
-        filter_col: &str,
-        out: &[(&str, Option<&str>)],
-        pk: i64,
-        fetch: Fetch,
-    ) -> Result<Option<QueryResult>> {
-        let Ok(rt) = self.row.table(table) else {
-            return Ok(None); // unknown table: let bind report it
-        };
-        let schema = &rt.schema;
-        if schema.col_index(filter_col) != Some(schema.pk_col()) {
-            return Ok(None); // not keyed on the pk: needs the planner
-        }
-        let mut proj = Vec::with_capacity(out.len());
-        let mut columns = Vec::with_capacity(out.len());
-        for (name, alias) in out {
-            let Some(idx) = schema.col_index(name) else {
-                return Ok(None); // unknown column: let bind report it
-            };
-            proj.push(idx);
-            columns.push(alias.unwrap_or(name).to_ascii_lowercase());
-        }
-        let rows = match rt.tree.get(pk, fetch)? {
-            Some(img) => {
-                let row = imci_common::Row::decode(&img)?;
-                vec![proj.iter().map(|&i| row.values[i].clone()).collect()]
-            }
-            None => Vec::new(),
-        };
-        Ok(Some(QueryResult {
-            columns,
-            rows,
-            engine: EngineChoice::Row,
-            affected: 0,
-        }))
-    }
-
-    /// Build the column plan and execution context for a bound query:
-    /// plan transform, snapshot pinning (one consistent snapshot per
-    /// table), then tuning — per-call options override the node-global
-    /// atomics, and the planner's [`PhysicalPlan::parallel_safe`] check
-    /// clamps parallelism to 1 for any plan shape without a
-    /// parallel-safe merge. Shared by execution and `EXPLAIN`.
-    fn column_plan_ctx(
-        &self,
-        q: &BoundQuery,
-        opts: &QueryOptions,
-    ) -> Result<(PhysicalPlan, ExecContext)> {
+    /// Transform a bound query into a column plan over this node's
+    /// column store (also returned, for snapshot pinning).
+    fn plan_column(&self, q: &BoundQuery) -> Result<(PhysicalPlan, &Arc<ColumnStore>)> {
         let store = self
             .store
             .as_ref()
@@ -619,7 +465,21 @@ impl QueryEngine {
         let covered_of = |schema: &Schema| -> Option<Vec<usize>> {
             store.index(schema.table_id).ok().map(|i| i.covered.clone())
         };
-        let plan = to_column_plan(q, &covered_of)?;
+        Ok((to_column_plan(q, &covered_of)?, store))
+    }
+
+    /// Build the column plan and execution context for a bound query:
+    /// plan transform, snapshot pinning (one consistent snapshot per
+    /// table), then tuning from the per-call options — the planner's
+    /// [`PhysicalPlan::parallel_safe`] check clamps parallelism to 1 for
+    /// any plan shape without a parallel-safe merge. Shared by execution
+    /// and `EXPLAIN`.
+    fn column_plan_ctx(
+        &self,
+        q: &BoundQuery,
+        opts: &QueryOptions,
+    ) -> Result<(PhysicalPlan, ExecContext)> {
+        let (plan, store) = self.plan_column(q)?;
         let mut snaps = FxHashMap::default();
         for bt in &q.tables {
             let idx = store.index(bt.schema.table_id).map_err(|_| {
@@ -628,17 +488,13 @@ impl QueryEngine {
             snaps.insert(bt.schema.table_id, Arc::new(idx.snapshot()));
         }
         let mut ctx = ExecContext::new(snaps);
-        ctx.parallelism = opts
-            .parallelism
-            .unwrap_or_else(|| self.get_parallelism())
-            .max(1);
-        if !plan.parallel_safe() {
-            ctx.parallelism = 1;
-        }
-        ctx.prune_enabled = opts.prune.unwrap_or_else(|| self.get_prune_enabled());
-        ctx.late_materialization = opts
-            .late_materialization
-            .unwrap_or_else(|| self.get_late_materialization());
+        ctx.parallelism = if plan.parallel_safe() {
+            opts.parallelism.unwrap_or(self.parallelism).max(1)
+        } else {
+            1
+        };
+        ctx.prune_enabled = opts.prune.unwrap_or(true);
+        ctx.late_materialization = opts.late_materialization.unwrap_or(true);
         Ok((plan, ctx))
     }
 
@@ -649,55 +505,9 @@ impl QueryEngine {
         Ok((0..out.len).map(|r| out.row(r)).collect())
     }
 
-    /// Execute any SQL statement with node-global settings.
-    #[deprecated(note = "use `QueryEngine::run` with `QueryOptions`")]
-    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.run(sql, &QueryOptions::default())
-    }
-
-    /// Execute with a per-call engine pin for SELECTs.
-    #[deprecated(note = "use `QueryEngine::run` with `QueryOptions { engine, .. }`")]
-    pub fn execute_forced(&self, sql: &str, force: Option<EngineChoice>) -> Result<QueryResult> {
-        self.run(sql, &QueryOptions::forced(force))
-    }
-
-    /// Execute a parsed statement with node-global settings.
-    #[deprecated(note = "use `QueryEngine::run` with `QueryOptions`")]
-    pub fn execute_stmt(&self, stmt: &Statement) -> Result<QueryResult> {
-        self.run_stmt(stmt, &QueryOptions::default())
-    }
-
-    /// Bind, route, and execute a SELECT; returns the engine used.
-    #[deprecated(note = "use `QueryEngine::run`; `QueryResult::engine` reports the engine")]
-    pub fn execute_select(&self, s: &SelectStmt) -> Result<(QueryResult, EngineChoice)> {
-        self.run_select(s, &QueryOptions::default())
-    }
-
-    /// Execute a SELECT with a per-call engine pin.
-    #[deprecated(note = "use `QueryEngine::run` with `QueryOptions { engine, .. }`")]
-    pub fn execute_select_with(
-        &self,
-        s: &SelectStmt,
-        force: Option<EngineChoice>,
-    ) -> Result<(QueryResult, EngineChoice)> {
-        self.run_select(s, &QueryOptions::forced(force))
-    }
-
     /// Build the column physical plan without running it (benches).
     pub fn column_plan(&self, s: &SelectStmt) -> Result<PhysicalPlan> {
-        let row_engine = self.row.clone();
-        let lookup = |name: &str| -> Result<Arc<Schema>> {
-            Ok(Arc::new(row_engine.table(name)?.schema.clone()))
-        };
-        let q = bind_select(s, &lookup, self)?;
-        let store = self
-            .store
-            .as_ref()
-            .ok_or_else(|| Error::ColumnEngineUnsupported("node has no column store".into()))?;
-        let covered_of = |schema: &Schema| -> Option<Vec<usize>> {
-            store.index(schema.table_id).ok().map(|i| i.covered.clone())
-        };
-        to_column_plan(&q, &covered_of)
+        Ok(self.plan_column(&self.bind(s)?)?.0)
     }
 
     /// §3.3 online `ALTER TABLE ... ADD COLUMN INDEX`: register the new
@@ -790,10 +600,7 @@ mod tests {
         let log = LogWriter::new(fs.clone(), PropagationMode::ReuseRedo);
         let row = RowEngine::new_rw(fs, log, 1 << 20);
         let store = Arc::new(ColumnStore::new(256));
-        let qe = QueryEngine {
-            store: Some(store),
-            ..QueryEngine::row_only(row)
-        };
+        let qe = QueryEngine::new(row, Some(store), 10_000.0);
         run(
             &qe,
             "CREATE TABLE items (
@@ -860,11 +667,12 @@ mod tests {
     }
 
     #[test]
-    fn point_select_fast_path_matches_general_path() {
+    fn point_select_shapes_stay_on_the_row_engine() {
         let qe = node();
         seed(&qe, 50);
-        // Shapes the fast path serves; the column engine (which never
-        // takes it) is the reference for result equivalence.
+        // Point reads, whether the scanner-level fast path takes them or
+        // they bind to a pk lookup; the column engine is the reference
+        // for result equivalence.
         let shapes = [
             "SELECT name FROM items WHERE id = 7",
             "SELECT qty, name FROM items WHERE 8 = id",
@@ -881,7 +689,7 @@ mod tests {
             assert_eq!(fast.rows, general.rows, "{sql}");
             assert_eq!(fast.columns, general.columns, "{sql}");
         }
-        // Aliased output names survive the fast path.
+        // Aliased output names survive.
         let res = run(&qe, "SELECT name AS label FROM items WHERE id = 1").unwrap();
         assert_eq!(res.columns, vec!["label".to_string()]);
         // Shapes that must fall back still work and stay correct.
@@ -1071,27 +879,32 @@ mod tests {
     }
 
     #[test]
-    fn per_call_options_override_node_globals() {
+    fn tuning_options_travel_with_the_call() {
         let qe = node();
         seed(&qe, 100);
         let sql = "SELECT grp, COUNT(*) FROM items GROUP BY grp ORDER BY grp";
-        let baseline = qe
-            .run(sql, &QueryOptions::forced(Some(EngineChoice::Column)))
-            .unwrap();
+        let column = QueryOptions::forced(Some(EngineChoice::Column));
+        let baseline = qe.run(sql, &column).unwrap();
         // Serial, no pruning, early materialization: same answer.
-        let tuned = qe
-            .run(
-                sql,
-                &QueryOptions {
-                    engine: Some(EngineChoice::Column),
-                    parallelism: Some(1),
-                    late_materialization: Some(false),
-                    prune: Some(false),
-                },
-            )
-            .unwrap();
-        assert_eq!(baseline.rows, tuned.rows);
-        // The per-call pin must not leak into the node-global force.
-        assert_eq!(*qe.force.lock(), None);
+        let tuned = QueryOptions {
+            parallelism: Some(1),
+            late_materialization: Some(false),
+            prune: Some(false),
+            ..column
+        };
+        assert_eq!(baseline.rows, qe.run(sql, &tuned).unwrap().rows);
+        // Each call plans with its own degree; the tuned call above left
+        // nothing behind on the node.
+        let header = |opts: &QueryOptions| match &qe
+            .run(&format!("EXPLAIN {sql}"), opts)
+            .unwrap()
+            .rows[0][0]
+        {
+            Value::Str(s) => s.clone(),
+            o => panic!("{o:?}"),
+        };
+        assert!(header(&tuned).ends_with(" parallelism=1"));
+        let default = format!(" parallelism={}", qe.parallelism);
+        assert!(header(&column).ends_with(&default));
     }
 }

@@ -16,7 +16,10 @@
 //! * the cluster serves reads and writes afterwards, with zero
 //!   replication errors.
 
-use polardb_imci::{Cluster, ClusterConfig, Consistency, Error, ExecOpts, SupervisorConfig, Value};
+use polardb_imci::sql::QueryOptions;
+use polardb_imci::{
+    Cluster, ClusterConfig, Consistency, EngineChoice, Error, ExecOpts, SupervisorConfig, Value,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -446,5 +449,69 @@ fn repeated_crash_cycles_accumulate_no_loss() {
         .execute_opts("SELECT COUNT(*) FROM walk", strong())
         .unwrap();
     assert_eq!(res.rows[0][0], Value::Int(expected));
+    c.shutdown();
+}
+
+/// A cluster with one RO and a checkpoint of 40 committed rows, with
+/// nothing committed after it.
+fn checkpointed_cluster() -> (Arc<Cluster>, u64) {
+    let c = Cluster::start(ClusterConfig {
+        n_ro: 1,
+        group_cap: 32,
+        ..Default::default()
+    });
+    c.execute("CREATE TABLE t (id INT NOT NULL, v INT, PRIMARY KEY(id), KEY COLUMN_INDEX(id, v))")
+        .unwrap();
+    for i in 0..40 {
+        c.execute(&format!("INSERT INTO t VALUES ({i}, {i})"))
+            .unwrap();
+    }
+    let seq = c.checkpoint_now().unwrap();
+    (c, seq)
+}
+
+#[test]
+fn failover_right_after_checkpoint_is_prompt_and_serves_column_plans() {
+    let (c, _) = checkpointed_cluster();
+    // The promoted writer's column rebuild boots from the checkpoint
+    // and has nothing to replay after it: its applied LSN must start at
+    // the checkpoint's, not wait for a commit that never comes.
+    let t0 = Instant::now();
+    c.failover().unwrap();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "failover took {took:?}");
+    assert_eq!(c.writer_role(), "rw+imci");
+    // The only RO was promoted, so the read runs on the new writer.
+    let column = ExecOpts {
+        query: QueryOptions::forced(Some(EngineChoice::Column)),
+        ..Default::default()
+    };
+    let res = c
+        .execute_opts("SELECT COUNT(*), SUM(v) FROM t", column)
+        .unwrap();
+    assert_eq!(res.engine, EngineChoice::Column);
+    assert_eq!(res.rows, vec![vec![Value::Int(40), Value::Int(780)]]);
+    c.shutdown();
+}
+
+#[test]
+fn torn_checkpoint_column_object_fails_scale_out() {
+    let (c, seq) = checkpointed_cluster();
+    let catalog = polardb_imci::imci::ckpt_catalog_key(seq);
+    let prefix = catalog.strip_suffix("catalog").unwrap();
+    let pack =
+        c.fs.list_objects(prefix)
+            .into_iter()
+            .find(|k| k.ends_with("/c1"))
+            .expect("checkpointed column pack");
+    let whole = c.fs.get_object(&pack).unwrap();
+    c.fs.put_object(
+        &pack,
+        bytes::Bytes::copy_from_slice(&whole[..whole.len() / 2]),
+    );
+    // Booting with an empty index in its place would resume replay
+    // after the checkpoint and answer column plans without its 40 rows.
+    assert!(c.scale_out().is_err());
+    assert_eq!(c.ros.read().len(), 1, "no replica joins the routing set");
     c.shutdown();
 }
